@@ -18,6 +18,8 @@ import struct
 from dataclasses import dataclass
 from typing import Union
 
+from repro.utils.escapes import quote
+
 # An attribute (including a type) may itself be used as a parameter, so the
 # full parameter domain is ``Attribute | ParamValue``.  We import lazily to
 # avoid a cycle with repro.ir.attributes.
@@ -115,7 +117,7 @@ class StringParam(ParamValue):
     kind = "string"
 
     def __str__(self) -> str:
-        return f'"{self.value}"'
+        return quote(self.value)
 
 
 @dataclass(frozen=True)

@@ -45,11 +45,11 @@ from repro.irdl.constraints import (
     VarConstraint,
 )
 from repro.irdl.defs import OpDef
+from repro.textir.lexer import PUNCTUATION, Token, TokenKind
 from repro.utils.diagnostics import DiagnosticError
 
 if TYPE_CHECKING:
     from repro.ir.operation import Operation
-    from repro.textir.lexer import Token
     from repro.textir.parser import IRParser
     from repro.textir.printer import Printer
 
@@ -131,8 +131,6 @@ _W_VARPARAM = 4   # (op, var_name, param_index)
 
 def _literal_parse_instr(text: str) -> tuple:
     """Resolve one literal's token kind once, at registration time."""
-    from repro.textir.lexer import PUNCTUATION, TokenKind
-
     if text == "->":
         return (_P_PUNCT, TokenKind.ARROW, "'->'")
     kind = PUNCTUATION.get(text)
@@ -300,8 +298,6 @@ class FormatProgram:
         """Parse the custom syntax following the operation name."""
         if self._parse_ops is None:
             return self._parse_interp(parser, definition)
-        from repro.textir.lexer import TokenKind
-
         op_def = self.op_def
         tokens: list["Token" | None] = [None] * len(op_def.operands)
         attributes: dict[str, Attribute] = {}
@@ -311,15 +307,9 @@ class FormatProgram:
         for instr in self._parse_ops:
             code = instr[0]
             if code == _P_PUNCT:
-                parser.expect(instr[1], instr[2])
+                parser.consume(instr[1], instr[2])
             elif code == _P_KEYWORD:
-                token = parser.expect(TokenKind.BARE_IDENT, instr[2])
-                if token.text != instr[1]:
-                    raise parser.error(
-                        f"expected keyword {instr[1]!r}, found "
-                        f"{token.text!r}",
-                        token,
-                    )
+                _expect_keyword(parser, instr[1])
             elif code == _P_OPERAND:
                 tokens[instr[1]] = parser.expect(
                     TokenKind.PERCENT_IDENT, instr[2]
@@ -362,8 +352,6 @@ class FormatProgram:
 
     def _parse_interp(self, parser: "IRParser", definition: Any) -> "Operation":
         """Reference directive interpreter (``--no-codegen`` path)."""
-        from repro.textir.lexer import TokenKind
-
         op_def = self.op_def
         operand_tokens: dict[str, "Token"] = {}
         attributes: dict[str, Attribute] = {}
@@ -564,21 +552,13 @@ class TypeFormatProgram:
         """Parse the parameter list (without the angle brackets)."""
         if self._parse_ops is None:
             return self._parse_interp(parser)
-        from repro.textir.lexer import TokenKind
-
         values: list[Any] = [None] * len(self.parameter_names)
         for instr in self._parse_ops:
             code = instr[0]
             if code == _P_PUNCT:
-                parser.expect(instr[1], instr[2])
+                parser.consume(instr[1], instr[2])
             elif code == _P_KEYWORD:
-                token = parser.expect(TokenKind.BARE_IDENT, instr[2])
-                if token.text != instr[1]:
-                    raise parser.error(
-                        f"expected keyword {instr[1]!r}, found "
-                        f"{token.text!r}",
-                        token,
-                    )
+                _expect_keyword(parser, instr[1])
             else:
                 values[instr[1]] = parser.parse_param()
         return values
@@ -661,18 +641,17 @@ def _infer_type(
 
 
 def _parse_literal(parser: "IRParser", text: str) -> None:
-    from repro.textir.lexer import PUNCTUATION, TokenKind
+    code, kind_or_text, what = _literal_parse_instr(text)
+    if code == _P_PUNCT:
+        parser.consume(kind_or_text, what)
+    else:
+        _expect_keyword(parser, text)
 
-    if text == "->":
-        parser.expect(TokenKind.ARROW, "'->'")
-        return
-    kind = PUNCTUATION.get(text)
-    if kind is not None:
-        parser.expect(kind, f"{text!r}")
-        return
-    token = parser.expect(TokenKind.BARE_IDENT, f"keyword {text!r}")
-    if token.text != text:
-        raise parser.error(f"expected keyword {text!r}, found {token.text!r}", token)
+
+def _expect_keyword(parser: "IRParser", text: str) -> None:
+    if parser.kind is not TokenKind.BARE_IDENT or parser.text != text:
+        raise parser.error(f"expected keyword {text!r}, found {parser.text!r}")
+    parser.advance()
 
 
 def _scan_directives(op_def: OpDef) -> list[Directive]:

@@ -24,8 +24,7 @@ accepted; the embedded code is Python either way (IRDL-Py, see DESIGN.md).
 from __future__ import annotations
 
 from repro.irdl import ast
-from repro.textir.lexer import Lexer, Token, TokenKind
-from repro.utils.diagnostics import DiagnosticError
+from repro.textir.lexer import Token, TokenKind, TokenStream
 from repro.utils.source import SourceFile
 
 #: Directive spellings accepted for embedded-code fields.  The key is the
@@ -44,52 +43,11 @@ _CODE_SPELLINGS = {
 }
 
 
-class IRDLParser:
+class IRDLParser(TokenStream):
     """Recursive-descent parser producing :class:`~repro.irdl.ast` nodes."""
 
     def __init__(self, source: SourceFile | str, name: str = "<irdl>"):
-        if isinstance(source, str):
-            source = SourceFile(source, name)
-        self.source = source
-        self._lexer = Lexer(source)
-        self._lookahead: list[Token] = []
-
-    # ------------------------------------------------------------------
-    # Token plumbing
-    # ------------------------------------------------------------------
-
-    def peek(self, offset: int = 0) -> Token:
-        while len(self._lookahead) <= offset:
-            self._lookahead.append(self._lexer.next_token())
-        return self._lookahead[offset]
-
-    def next(self) -> Token:
-        return self._lookahead.pop(0) if self._lookahead else self._lexer.next_token()
-
-    def accept(self, kind: TokenKind, text: str | None = None) -> Token | None:
-        token = self.peek()
-        if token.kind is kind and (text is None or token.text == text):
-            return self.next()
-        return None
-
-    def expect(self, kind: TokenKind, what: str) -> Token:
-        token = self.peek()
-        if token.kind is not kind:
-            raise self.error(f"expected {what}, found {token.text!r}", token)
-        return self.next()
-
-    def expect_keyword(self, keyword: str) -> Token:
-        token = self.peek()
-        if token.kind is not TokenKind.BARE_IDENT or token.text != keyword:
-            raise self.error(f"expected {keyword!r}, found {token.text!r}", token)
-        return self.next()
-
-    def error(self, message: str, token: Token | None = None) -> DiagnosticError:
-        span = (token or self.peek()).span
-        return DiagnosticError.at(message, span)
-
-    def at_end(self) -> bool:
-        return self.peek().kind is TokenKind.EOF
+        super().__init__(source, name)
 
     # ------------------------------------------------------------------
     # Entry point
@@ -105,7 +63,7 @@ class IRDLParser:
         start = self.expect_keyword("Dialect")
         name = self.expect(TokenKind.BARE_IDENT, "dialect name")
         decl = ast.DialectDecl(name.text, span=start.span)
-        self.expect(TokenKind.LBRACE, "'{'")
+        self.consume(TokenKind.LBRACE, "'{'")
         while not self.accept(TokenKind.RBRACE):
             token = self.peek()
             if token.kind is not TokenKind.BARE_IDENT:
@@ -127,7 +85,7 @@ class IRDLParser:
             elif token.text == "TypeOrAttrParam":
                 decl.param_wrappers.append(self._parse_param_wrapper_decl())
             elif token.text == "Suppress":
-                self.next()
+                self.advance()
                 decl.suppressions.append(
                     self.expect(TokenKind.STRING, "lint code string").value
                 )
@@ -145,7 +103,7 @@ class IRDLParser:
         start = self.next()  # 'Type' | 'Attribute'
         name = self.expect(TokenKind.BARE_IDENT, "definition name")
         decl = ast.TypeDecl(name.text, is_type=is_type, span=start.span)
-        self.expect(TokenKind.LBRACE, "'{'")
+        self.consume(TokenKind.LBRACE, "'{'")
         while not self.accept(TokenKind.RBRACE):
             field = self.expect(TokenKind.BARE_IDENT, "a field directive")
             if field.text == "Parameters":
@@ -176,7 +134,7 @@ class IRDLParser:
         start = self.expect_keyword("Operation")
         name = self.expect(TokenKind.BARE_IDENT, "operation name")
         decl = ast.OperationDecl(name.text, span=start.span)
-        self.expect(TokenKind.LBRACE, "'{'")
+        self.consume(TokenKind.LBRACE, "'{'")
         while not self.accept(TokenKind.RBRACE):
             field = self.expect(TokenKind.BARE_IDENT, "a field directive")
             if field.text in ("ConstraintVar", "ConstraintVars"):
@@ -215,13 +173,13 @@ class IRDLParser:
         sigil, name_token = self._parse_sigiled_name("alias name")
         type_params: list[str] = []
         if self.accept(TokenKind.LESS):
-            type_params.append(self.expect(TokenKind.BARE_IDENT, "parameter name").text)
+            type_params.append(self.expect_text(TokenKind.BARE_IDENT, "parameter name"))
             while self.accept(TokenKind.COMMA):
                 type_params.append(
-                    self.expect(TokenKind.BARE_IDENT, "parameter name").text
+                    self.expect_text(TokenKind.BARE_IDENT, "parameter name")
                 )
-            self.expect(TokenKind.GREATER, "'>'")
-        self.expect(TokenKind.EQUAL, "'='")
+            self.consume(TokenKind.GREATER, "'>'")
+        self.consume(TokenKind.EQUAL, "'='")
         body = self.parse_constraint_expr()
         return ast.AliasDecl(
             name_token.value if sigil else name_token.text,
@@ -234,26 +192,26 @@ class IRDLParser:
     def _parse_enum_decl(self) -> ast.EnumDecl:
         start = self.expect_keyword("Enum")
         name = self.expect(TokenKind.BARE_IDENT, "enum name")
-        self.expect(TokenKind.LBRACE, "'{'")
+        self.consume(TokenKind.LBRACE, "'{'")
         constructors: list[str] = []
-        if self.peek().kind is not TokenKind.RBRACE:
+        if self.kind is not TokenKind.RBRACE:
             constructors.append(
-                self.expect(TokenKind.BARE_IDENT, "enum constructor").text
+                self.expect_text(TokenKind.BARE_IDENT, "enum constructor")
             )
             while self.accept(TokenKind.COMMA):
                 constructors.append(
-                    self.expect(TokenKind.BARE_IDENT, "enum constructor").text
+                    self.expect_text(TokenKind.BARE_IDENT, "enum constructor")
                 )
-        self.expect(TokenKind.RBRACE, "'}'")
+        self.consume(TokenKind.RBRACE, "'}'")
         return ast.EnumDecl(name.text, constructors, span=start.span)
 
     def _parse_constraint_decl(self) -> ast.ConstraintDecl:
         start = self.expect_keyword("Constraint")
         name = self.expect(TokenKind.BARE_IDENT, "constraint name")
-        self.expect(TokenKind.COLON, "':'")
+        self.consume(TokenKind.COLON, "':'")
         base = self.parse_constraint_expr()
         decl = ast.ConstraintDecl(name.text, base, span=start.span)
-        self.expect(TokenKind.LBRACE, "'{'")
+        self.consume(TokenKind.LBRACE, "'{'")
         while not self.accept(TokenKind.RBRACE):
             field = self.expect(TokenKind.BARE_IDENT, "a field directive")
             if field.text == "Summary":
@@ -273,7 +231,7 @@ class IRDLParser:
         start = self.expect_keyword("TypeOrAttrParam")
         name = self.expect(TokenKind.BARE_IDENT, "parameter wrapper name")
         decl = ast.ParamWrapperDecl(name.text, span=start.span)
-        self.expect(TokenKind.LBRACE, "'{'")
+        self.consume(TokenKind.LBRACE, "'{'")
         while not self.accept(TokenKind.RBRACE):
             field = self.expect(TokenKind.BARE_IDENT, "a field directive")
             canonical = _CODE_SPELLINGS.get(field.text)
@@ -305,40 +263,40 @@ class IRDLParser:
         return None, self.expect(TokenKind.BARE_IDENT, what)
 
     def _parse_param_decl_list(self) -> list[ast.ParamDecl]:
-        self.expect(TokenKind.LPAREN, "'('")
+        self.consume(TokenKind.LPAREN, "'('")
         params: list[ast.ParamDecl] = []
-        if self.peek().kind is not TokenKind.RPAREN:
+        if self.kind is not TokenKind.RPAREN:
             params.append(self._parse_param_decl())
             while self.accept(TokenKind.COMMA):
                 params.append(self._parse_param_decl())
-        self.expect(TokenKind.RPAREN, "')'")
+        self.consume(TokenKind.RPAREN, "')'")
         return params
 
     def _parse_param_decl(self) -> ast.ParamDecl:
         name = self.expect(TokenKind.BARE_IDENT, "parameter name")
-        self.expect(TokenKind.COLON, "':'")
+        self.consume(TokenKind.COLON, "':'")
         constraint = self.parse_constraint_expr()
         return ast.ParamDecl(name.text, constraint, span=name.span)
 
     def _parse_arg_decl_list(self, allow_variadic: bool) -> list[ast.ArgDecl]:
-        self.expect(TokenKind.LPAREN, "'('")
+        self.consume(TokenKind.LPAREN, "'('")
         args: list[ast.ArgDecl] = []
-        if self.peek().kind is not TokenKind.RPAREN:
+        if self.kind is not TokenKind.RPAREN:
             args.append(self._parse_arg_decl(allow_variadic))
             while self.accept(TokenKind.COMMA):
                 args.append(self._parse_arg_decl(allow_variadic))
-        self.expect(TokenKind.RPAREN, "')'")
+        self.consume(TokenKind.RPAREN, "')'")
         return args
 
     def _parse_arg_decl(self, allow_variadic: bool) -> ast.ArgDecl:
         name = self.expect(TokenKind.BARE_IDENT, "argument name")
-        self.expect(TokenKind.COLON, "':'")
+        self.consume(TokenKind.COLON, "':'")
         variadicity = ast.Variadicity.SINGLE
         token = self.peek()
         if (
             token.kind is TokenKind.BARE_IDENT
             and token.text in ("Variadic", "Optional")
-            and self.peek(1).kind is TokenKind.LESS
+            and self.peek_kind() is TokenKind.LESS
         ):
             if not allow_variadic:
                 raise self.error(
@@ -351,35 +309,35 @@ class IRDLParser:
                 if token.text == "Variadic"
                 else ast.Variadicity.OPTIONAL
             )
-            self.next()
-            self.expect(TokenKind.LESS, "'<'")
+            self.advance()
+            self.consume(TokenKind.LESS, "'<'")
             constraint = self.parse_constraint_expr()
-            self.expect(TokenKind.GREATER, "'>'")
+            self.consume(TokenKind.GREATER, "'>'")
         else:
             constraint = self.parse_constraint_expr()
         return ast.ArgDecl(name.text, constraint, variadicity, span=name.span)
 
     def _parse_constraint_var_list(self) -> list[ast.ConstraintVarDecl]:
-        self.expect(TokenKind.LPAREN, "'('")
+        self.consume(TokenKind.LPAREN, "'('")
         decls: list[ast.ConstraintVarDecl] = []
-        if self.peek().kind is not TokenKind.RPAREN:
+        if self.kind is not TokenKind.RPAREN:
             decls.append(self._parse_constraint_var())
             while self.accept(TokenKind.COMMA):
                 decls.append(self._parse_constraint_var())
-        self.expect(TokenKind.RPAREN, "')'")
+        self.consume(TokenKind.RPAREN, "')'")
         return decls
 
     def _parse_constraint_var(self) -> ast.ConstraintVarDecl:
         sigil, name_token = self._parse_sigiled_name("constraint variable")
         name = name_token.value if sigil else name_token.text
-        self.expect(TokenKind.COLON, "':'")
+        self.consume(TokenKind.COLON, "':'")
         constraint = self.parse_constraint_expr()
         return ast.ConstraintVarDecl(name, sigil, constraint, span=name_token.span)
 
     def _parse_region_decl(self, start: Token) -> ast.RegionDecl:
         name = self.expect(TokenKind.BARE_IDENT, "region name")
         decl = ast.RegionDecl(name.text, span=start.span)
-        self.expect(TokenKind.LBRACE, "'{'")
+        self.consume(TokenKind.LBRACE, "'{'")
         while not self.accept(TokenKind.RBRACE):
             field = self.expect(TokenKind.BARE_IDENT, "a field directive")
             if field.text == "Arguments":
@@ -388,7 +346,7 @@ class IRDLParser:
                 terminator = self.expect(TokenKind.BARE_IDENT, "operation name")
                 parts = [terminator.text]
                 while self.accept(TokenKind.DOT):
-                    parts.append(self.expect(TokenKind.BARE_IDENT, "name").text)
+                    parts.append(self.expect_text(TokenKind.BARE_IDENT, "name"))
                 decl.terminator = ".".join(parts)
             else:
                 raise self.error(
@@ -398,15 +356,15 @@ class IRDLParser:
         return decl
 
     def _parse_successor_list(self) -> list[str]:
-        self.expect(TokenKind.LPAREN, "'('")
+        self.consume(TokenKind.LPAREN, "'('")
         names: list[str] = []
-        if self.peek().kind is not TokenKind.RPAREN:
-            names.append(self.expect(TokenKind.BARE_IDENT, "successor name").text)
+        if self.kind is not TokenKind.RPAREN:
+            names.append(self.expect_text(TokenKind.BARE_IDENT, "successor name"))
             while self.accept(TokenKind.COMMA):
                 names.append(
-                    self.expect(TokenKind.BARE_IDENT, "successor name").text
+                    self.expect_text(TokenKind.BARE_IDENT, "successor name")
                 )
-        self.expect(TokenKind.RPAREN, "')'")
+        self.consume(TokenKind.RPAREN, "')'")
         return names
 
     # ------------------------------------------------------------------
@@ -414,42 +372,42 @@ class IRDLParser:
     # ------------------------------------------------------------------
 
     def parse_constraint_expr(self) -> ast.ConstraintExpr:
-        token = self.peek()
-        if token.kind is TokenKind.MINUS or token.kind is TokenKind.INTEGER:
+        kind = self.kind
+        if kind is TokenKind.MINUS or kind is TokenKind.INTEGER:
             return self._parse_int_literal()
-        if token.kind is TokenKind.STRING:
-            self.next()
+        if kind is TokenKind.STRING:
+            token = self.next()
             return ast.StringLiteralExpr(token.value, span=token.span)
-        if token.kind is TokenKind.LBRACKET:
+        if kind is TokenKind.LBRACKET:
             return self._parse_list_expr()
-        if token.kind in (
+        if kind in (
             TokenKind.BANG_IDENT,
             TokenKind.HASH_IDENT,
             TokenKind.BARE_IDENT,
         ):
             return self._parse_ref_expr()
-        raise self.error(
-            f"expected a constraint, found {token.text!r}", token
-        )
+        raise self.error(f"expected a constraint, found {self.text!r}")
 
     def _parse_int_literal(self) -> ast.IntLiteralExpr:
         negative = bool(self.accept(TokenKind.MINUS))
         token = self.expect(TokenKind.INTEGER, "integer literal")
         value = -int(token.text) if negative else int(token.text)
         type_name: str | None = None
-        if self.peek().kind is TokenKind.COLON:
-            self.next()
-            type_name = self.expect(TokenKind.BARE_IDENT, "integer type").text
+        if self.kind is TokenKind.COLON:
+            self.advance()
+            type_name = self.expect_text(TokenKind.BARE_IDENT, "integer type")
         return ast.IntLiteralExpr(value, type_name, span=token.span)
 
     def _parse_list_expr(self) -> ast.ListExpr:
+        self.enter()
         start = self.expect(TokenKind.LBRACKET, "'['")
         elements: list[ast.ConstraintExpr] = []
-        if self.peek().kind is not TokenKind.RBRACKET:
+        if self.kind is not TokenKind.RBRACKET:
             elements.append(self.parse_constraint_expr())
             while self.accept(TokenKind.COMMA):
                 elements.append(self.parse_constraint_expr())
-        self.expect(TokenKind.RBRACKET, "']'")
+        self.consume(TokenKind.RBRACKET, "']'")
+        self.leave()
         return ast.ListExpr(elements, span=start.span)
 
     def _parse_ref_expr(self) -> ast.RefExpr:
@@ -464,18 +422,20 @@ class IRDLParser:
             sigil = None
             name = token.text
             # Dotted bare references: enum constructors and namespaced names.
-            while self.peek().kind is TokenKind.DOT:
-                self.next()
-                name += "." + self.expect(TokenKind.BARE_IDENT, "name").text
+            while self.kind is TokenKind.DOT:
+                self.advance()
+                name += "." + self.expect_text(TokenKind.BARE_IDENT, "name")
         params: list[ast.ConstraintExpr] | None = None
-        if self.peek().kind is TokenKind.LESS:
-            self.next()
+        if self.kind is TokenKind.LESS:
+            self.enter()
+            self.advance()
             params = []
-            if self.peek().kind is not TokenKind.GREATER:
+            if self.kind is not TokenKind.GREATER:
                 params.append(self.parse_constraint_expr())
                 while self.accept(TokenKind.COMMA):
                     params.append(self.parse_constraint_expr())
-            self.expect(TokenKind.GREATER, "'>'")
+            self.consume(TokenKind.GREATER, "'>'")
+            self.leave()
         return ast.RefExpr(sigil, name, params, span=token.span)
 
 

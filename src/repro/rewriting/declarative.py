@@ -53,9 +53,9 @@ from repro.ir.value import OpResult, SSAValue
 from repro.irdl.constraints import CannotInfer, ConstraintContext
 from repro.irdl.defs import OpDef
 from repro.rewriting.pattern import PatternRewriter, RewritePattern
-from repro.textir.lexer import Lexer, TokenKind
+from repro.textir.lexer import TokenKind, TokenStream
 from repro.utils.diagnostics import DiagnosticError
-from repro.utils.source import SourceFile, Span
+from repro.utils.source import Span
 
 
 # ---------------------------------------------------------------------------
@@ -119,41 +119,15 @@ def _pattern_error(
 # Parser
 # ---------------------------------------------------------------------------
 
-class PatternParser:
+class PatternParser(TokenStream):
     """Parses pattern files into :class:`PatternDecl` lists."""
 
     def __init__(self, text: str, name: str = "<patterns>"):
-        self.source = SourceFile(text, name)
-        self._lexer = Lexer(self.source)
-        self._lookahead = []
-
-    def peek(self):
-        if not self._lookahead:
-            self._lookahead.append(self._lexer.next_token())
-        return self._lookahead[0]
-
-    def next(self):
-        return self._lookahead.pop(0) if self._lookahead else self._lexer.next_token()
-
-    def expect(self, kind: TokenKind, what: str):
-        token = self.peek()
-        if token.kind is not kind:
-            raise DiagnosticError.at(
-                f"expected {what}, found {token.text!r}", token.span
-            )
-        return self.next()
-
-    def expect_keyword(self, keyword: str):
-        token = self.expect(TokenKind.BARE_IDENT, f"{keyword!r}")
-        if token.text != keyword:
-            raise DiagnosticError.at(
-                f"expected {keyword!r}, found {token.text!r}", token.span
-            )
-        return token
+        super().__init__(text, name)
 
     def parse_file(self) -> list[PatternDecl]:
         patterns = []
-        while self.peek().kind is not TokenKind.EOF:
+        while self.kind is not TokenKind.EOF:
             patterns.append(self.parse_pattern())
         return patterns
 
@@ -161,10 +135,9 @@ class PatternParser:
         self.expect_keyword("Pattern")
         name_token = self.expect(TokenKind.BARE_IDENT, "pattern name")
         decl = PatternDecl(name_token.text, span=name_token.span)
-        self.expect(TokenKind.LBRACE, "'{'")
-        while (self.peek().kind is TokenKind.BARE_IDENT
-               and self.peek().text == "Suppress"):
-            self.next()
+        self.consume(TokenKind.LBRACE, "'{'")
+        while self.kind is TokenKind.BARE_IDENT and self.text == "Suppress":
+            self.advance()
             decl.suppressions.append(
                 self.expect(TokenKind.STRING, "lint code string").value
             )
@@ -172,46 +145,43 @@ class PatternParser:
         decl.match_ops = self._parse_op_block()
         self.expect_keyword("Rewrite")
         decl.rewrite_ops = self._parse_op_block()
-        self.expect(TokenKind.RBRACE, "'}'")
+        self.consume(TokenKind.RBRACE, "'}'")
         self._validate(decl)
         return decl
 
     def _parse_op_block(self) -> list[OpTemplate]:
-        self.expect(TokenKind.LBRACE, "'{'")
+        self.consume(TokenKind.LBRACE, "'{'")
         templates = []
-        while self.peek().kind is not TokenKind.RBRACE:
+        while self.kind is not TokenKind.RBRACE:
             templates.append(self._parse_op_template())
-        self.expect(TokenKind.RBRACE, "'}'")
+        self.consume(TokenKind.RBRACE, "'}'")
         if not templates:
-            raise DiagnosticError.at(
-                "a pattern section needs at least one operation",
-                self.peek().span,
-            )
+            raise self.error("a pattern section needs at least one operation")
         return templates
 
     def _parse_op_template(self) -> OpTemplate:
         start_token = self.peek()
         result_names = []
-        if self.peek().kind is TokenKind.PERCENT_IDENT:
+        if self.kind is TokenKind.PERCENT_IDENT:
             result_names.append(self.next().value)
-            while self.peek().kind is TokenKind.COMMA:
-                self.next()
+            while self.kind is TokenKind.COMMA:
+                self.advance()
                 result_names.append(
                     self.expect(TokenKind.PERCENT_IDENT, "result name").value
                 )
-            self.expect(TokenKind.EQUAL, "'='")
-        parts = [self.expect(TokenKind.BARE_IDENT, "operation name").text]
-        while self.peek().kind is TokenKind.DOT:
-            self.next()
-            parts.append(self.expect(TokenKind.BARE_IDENT, "name").text)
+            self.consume(TokenKind.EQUAL, "'='")
+        parts = [self.expect_text(TokenKind.BARE_IDENT, "operation name")]
+        while self.kind is TokenKind.DOT:
+            self.advance()
+            parts.append(self.expect_text(TokenKind.BARE_IDENT, "name"))
         operand_names = []
-        self.expect(TokenKind.LPAREN, "'('")
-        if self.peek().kind is not TokenKind.RPAREN:
+        self.consume(TokenKind.LPAREN, "'('")
+        if self.kind is not TokenKind.RPAREN:
             operand_names.append(
                 self.expect(TokenKind.PERCENT_IDENT, "operand").value
             )
-            while self.peek().kind is TokenKind.COMMA:
-                self.next()
+            while self.kind is TokenKind.COMMA:
+                self.advance()
                 operand_names.append(
                     self.expect(TokenKind.PERCENT_IDENT, "operand").value
                 )

@@ -14,17 +14,23 @@ The parser resolves SSA use-def chains (including forward references to
 values defined later in another block), block successors, dialect types
 and attributes (through the context registry, so IRDL-instantiated
 dialects parse with no extra code), and nested regions.
+
+It reads tokens through the shared :class:`~repro.textir.lexer.TokenStream`
+cursor.  Within one parse, builtin types and bracket-free dialect types
+and attributes are memoized on their exact source text: the same text
+always parses to the same interned object, so a hit skips the tokens
+and returns it.
 """
 
 from __future__ import annotations
 
 import re
 import struct
-from typing import Any, Callable
+from typing import Any
 
 from repro.builtin import attributes as battrs
 from repro.builtin import types as btypes
-from repro.ir.attributes import Attribute, TypeAttribute
+from repro.ir.attributes import Attribute
 from repro.ir.block import Block
 from repro.ir.context import Context
 from repro.ir.exceptions import UnregisteredConstructError, VerifyError
@@ -50,8 +56,7 @@ from repro.ir.uniquer import intern as intern_attr
 from repro.ir.value import SSAValue
 from repro.obs import timing as _timing
 from repro.obs.instrument import OBS, count_ops
-from repro.textir.lexer import Lexer, Token, TokenKind
-from repro.utils.diagnostics import DiagnosticError
+from repro.textir.lexer import Token, TokenKind, TokenStream
 from repro.utils.source import SourceFile
 
 _INT_TYPE_RE = re.compile(r"^(i|si|ui)([0-9]+)$")
@@ -61,6 +66,36 @@ _PARAM_INT_RE = re.compile(r"^(u?)int(8|16|32|64)_t$")
 # lexer splits it into INTEGER "0" followed by this BARE_IDENT (the same
 # mechanism shaped types like ``tensor<4x?xf32>`` rely on).
 _HEX_FLOAT_BITS_RE = re.compile(r"^x[0-9A-Fa-f]{1,16}$")
+_SHAPED = ("tensor", "vector", "memref")
+_SIGNEDNESS = {
+    "i": btypes.Signedness.SIGNLESS,
+    "si": btypes.Signedness.SIGNED,
+    "ui": btypes.Signedness.UNSIGNED,
+}
+
+_PERCENT = TokenKind.PERCENT_IDENT
+_CARET = TokenKind.CARET_IDENT
+_BANG = TokenKind.BANG_IDENT
+_HASH = TokenKind.HASH_IDENT
+_BARE = TokenKind.BARE_IDENT
+_STRING = TokenKind.STRING
+_INTEGER = TokenKind.INTEGER
+_FLOAT = TokenKind.FLOAT
+_MINUS = TokenKind.MINUS
+_LPAREN = TokenKind.LPAREN
+_RPAREN = TokenKind.RPAREN
+_LBRACE = TokenKind.LBRACE
+_RBRACE = TokenKind.RBRACE
+_LBRACKET = TokenKind.LBRACKET
+_RBRACKET = TokenKind.RBRACKET
+_LESS = TokenKind.LESS
+_GREATER = TokenKind.GREATER
+_COMMA = TokenKind.COMMA
+_COLON = TokenKind.COLON
+_EQUAL = TokenKind.EQUAL
+_ARROW = TokenKind.ARROW
+_DOT = TokenKind.DOT
+_EOF = TokenKind.EOF
 
 
 class _PlaceholderValue(SSAValue):
@@ -73,17 +108,13 @@ class _PlaceholderValue(SSAValue):
         self.ref_name = ref_name
 
 
-class IRParser:
+class IRParser(TokenStream):
     """Recursive-descent parser over the token stream."""
 
     def __init__(self, context: Context, source: SourceFile | str,
                  name: str = "<input>"):
-        if isinstance(source, str):
-            source = SourceFile(source, name)
+        super().__init__(source, name)
         self.context = context
-        self.source = source
-        self._lexer = Lexer(source)
-        self._lookahead: list[Token] = []
         # SSA name scopes: one per nested region, innermost last.  Uses may
         # forward-reference values defined later in the same region (CFG
         # back-edges); placeholders live in the scope they were created in.
@@ -91,37 +122,8 @@ class IRParser:
         self._pending_scopes: list[dict[str, list[_PlaceholderValue]]] = [{}]
         # Block scope stack, one entry per region being parsed.
         self._block_scopes: list[dict[str, Block]] = []
-
-    # ------------------------------------------------------------------
-    # Token plumbing
-    # ------------------------------------------------------------------
-
-    def peek(self, offset: int = 0) -> Token:
-        while len(self._lookahead) <= offset:
-            self._lookahead.append(self._lexer.next_token())
-        return self._lookahead[offset]
-
-    def next(self) -> Token:
-        return self._lookahead.pop(0) if self._lookahead else self._lexer.next_token()
-
-    def accept(self, kind: TokenKind, text: str | None = None) -> Token | None:
-        token = self.peek()
-        if token.kind is kind and (text is None or token.text == text):
-            return self.next()
-        return None
-
-    def expect(self, kind: TokenKind, what: str) -> Token:
-        token = self.peek()
-        if token.kind is not kind:
-            raise self.error(f"expected {what}, found {token.text!r}", token)
-        return self.next()
-
-    def error(self, message: str, token: Token | None = None) -> DiagnosticError:
-        span = (token or self.peek()).span
-        return DiagnosticError.at(message, span)
-
-    def at_end(self) -> bool:
-        return self.peek().kind is TokenKind.EOF
+        #: Parsed types and attributes by their exact source text.
+        self._memo: dict[str, Attribute] = {}
 
     # ------------------------------------------------------------------
     # SSA value scope
@@ -151,7 +153,10 @@ class IRParser:
             raise self.error(f"SSA value %{name} is defined twice", token)
         value.name_hint = name
         scope[name] = value
-        for placeholder in self._pending_scopes[-1].pop(name, []):
+        pending = self._pending_scopes[-1]
+        if name not in pending:
+            return
+        for placeholder in pending.pop(name):
             if placeholder.type != value.type:
                 raise self.error(
                     f"%{name} was forward-referenced with type "
@@ -177,54 +182,94 @@ class IRParser:
             raise self.error(f"use of undefined SSA value(s): {names}")
 
     # ------------------------------------------------------------------
+    # Memo of type and attribute parses
+    # ------------------------------------------------------------------
+
+    def _memo_key(self) -> str | None:
+        """The source text a dialect type or attribute at the current
+        token spans, if its parse can be memoized: either the bare
+        ``!name``, or ``!name<...>`` with the ``<`` right after the name
+        and no ``<`` nested inside.
+        """
+        i = self._i
+        start = self._starts[i]
+        end = self._ends[i]
+        text = self._text
+        if text.startswith("<", end):
+            close = text.find(">", end)
+            if close < 0 or text.find("<", end + 1, close) >= 0:
+                return None
+            return text[start:close + 1]
+        if self.peek_kind() is _LESS:
+            return None
+        return text[start:end]
+
+    def _memo_hit(self, key: str | None) -> Attribute | None:
+        """The memoized parse of ``key``, skipping its tokens on a hit."""
+        if key is None:
+            return None
+        cached = self._memo.get(key)
+        if cached is not None:
+            offset = self._starts[self._i] + len(key)
+            while self._starts[self._i] < offset:
+                self.advance()
+        return cached
+
+    def _memo_store(self, key: str | None, start: int, result: Attribute) -> None:
+        """Memoize ``result`` if its parse spanned exactly ``key``."""
+        if key is not None and self.prev_end == start + len(key):
+            self._memo[key] = result
+
+    # ------------------------------------------------------------------
     # Types
     # ------------------------------------------------------------------
 
     def parse_type(self) -> Attribute:
-        token = self.peek()
-        if token.kind is TokenKind.BANG_IDENT:
-            return self._parse_dialect_type(self.next())
-        if token.kind is TokenKind.LPAREN:
-            return self._parse_function_type()
-        if token.kind is TokenKind.BARE_IDENT:
+        kind = self.kind
+        if kind is _BARE:
+            cached = self._memo.get(self.text)
+            if cached is not None:
+                self.advance()
+                return cached
             return self._parse_builtin_type(self.next())
-        raise self.error(f"expected a type, found {token.text!r}", token)
+        if kind is _BANG:
+            return self._parse_dialect_type()
+        if kind is _LPAREN:
+            return self._parse_function_type()
+        raise self.error(f"expected a type, found {self.text!r}")
 
     def try_parse_type(self) -> Attribute | None:
-        token = self.peek()
-        if token.kind is TokenKind.BANG_IDENT or token.kind is TokenKind.LPAREN:
+        kind = self.kind
+        if kind is _BANG or kind is _LPAREN:
             return self.parse_type()
-        if token.kind is TokenKind.BARE_IDENT and self._is_builtin_type_name(token.text):
+        if kind is _BARE and self._is_builtin_type_name(self.text):
             return self.parse_type()
         return None
 
-    @staticmethod
-    def _is_builtin_type_name(name: str) -> bool:
+    def _is_builtin_type_name(self, name: str) -> bool:
         return bool(
-            _INT_TYPE_RE.match(name)
+            name in self._memo
+            or _INT_TYPE_RE.match(name)
             or _FLOAT_TYPE_RE.match(name)
             or name in ("index", "tensor", "vector", "memref", "none")
         )
 
     def _parse_builtin_type(self, token: Token) -> Attribute:
         name = token.text
+        if name in _SHAPED:
+            return self._parse_shaped_type(name, token)
         match = _INT_TYPE_RE.match(name)
         if match:
             prefix, width = match.groups()
-            signedness = {
-                "i": btypes.Signedness.SIGNLESS,
-                "si": btypes.Signedness.SIGNED,
-                "ui": btypes.Signedness.UNSIGNED,
-            }[prefix]
-            return btypes.IntegerType.get(int(width), signedness)
-        match = _FLOAT_TYPE_RE.match(name)
-        if match:
-            return btypes.FloatType.get(int(match.group(1)))
-        if name == "index":
-            return btypes.index
-        if name in ("tensor", "vector", "memref"):
-            return self._parse_shaped_type(name, token)
-        raise self.error(f"unknown builtin type {name!r}", token)
+            result = btypes.IntegerType.get(int(width), _SIGNEDNESS[prefix])
+        elif match := _FLOAT_TYPE_RE.match(name):
+            result = btypes.FloatType.get(int(match.group(1)))
+        elif name == "index":
+            result = btypes.index
+        else:
+            raise self.error(f"unknown builtin type {name!r}", token)
+        self._memo[name] = result
+        return result
 
     def _parse_shaped_type(self, kind: str, token: Token) -> Attribute:
         """Parse ``tensor<4x?xf32>``-style shaped types.
@@ -233,28 +278,28 @@ class IRParser:
         (``4x?xf32`` lexes as INTEGER "4" then BARE "x?xf32"), so dimension
         words are re-split on ``x`` here.
         """
-        self.expect(TokenKind.LESS, "'<'")
+        self.enter()
+        self.consume(_LESS, "'<'")
         shape: list[int] = []
         element: Attribute | None = None
         while element is None:
-            tok = self.peek()
-            if tok.kind is TokenKind.QUESTION:
-                self.next()
+            tok_kind = self.kind
+            if tok_kind is TokenKind.QUESTION:
+                self.advance()
                 shape.append(btypes.DYNAMIC)
-            elif tok.kind is TokenKind.INTEGER:
-                self.next()
-                shape.append(int(tok.text))
-            elif tok.kind is TokenKind.BARE_IDENT:
-                self.next()
-                element = self._scan_shape_word(tok, shape)
-            elif tok.kind in (TokenKind.BANG_IDENT, TokenKind.LPAREN):
+            elif tok_kind is _INTEGER:
+                shape.append(int(self.text))
+                self.advance()
+            elif tok_kind is _BARE:
+                element = self._scan_shape_word(self.next(), shape)
+            elif tok_kind is _BANG or tok_kind is _LPAREN:
                 element = self.parse_type()
             else:
                 raise self.error(
-                    f"expected a dimension or element type, found {tok.text!r}",
-                    tok,
+                    f"expected a dimension or element type, found {self.text!r}"
                 )
-        self.expect(TokenKind.GREATER, "'>'")
+        self.consume(_GREATER, "'>'")
+        self.leave()
         cls = {"tensor": btypes.TensorType, "vector": btypes.VectorType,
                "memref": btypes.MemRefType}[kind]
         return cls.get(shape, element)
@@ -280,7 +325,7 @@ class IRParser:
                 shape.append(int(part))
             else:
                 element_text = "x".join(parts[index:])
-                if element_text in ("tensor", "vector", "memref"):
+                if element_text in _SHAPED:
                     # The element is itself shaped; its '<...>' parameters
                     # are still in the main token stream.
                     return self._parse_shaped_type(element_text, token)
@@ -293,30 +338,36 @@ class IRParser:
         return None
 
     def _parse_function_type(self) -> Attribute:
-        self.expect(TokenKind.LPAREN, "'('")
-        inputs: list[Attribute] = []
-        if self.peek().kind is not TokenKind.RPAREN:
-            inputs.append(self.parse_type())
-            while self.accept(TokenKind.COMMA):
-                inputs.append(self.parse_type())
-        self.expect(TokenKind.RPAREN, "')'")
-        self.expect(TokenKind.ARROW, "'->'")
+        self.enter()
+        inputs = self._parse_type_list()
+        self.consume(_ARROW, "'->'")
         results = self._parse_type_or_type_list()
+        self.leave()
         return btypes.FunctionType.get(inputs, results)
 
+    def _parse_type_list(self) -> list[Attribute]:
+        """A parenthesized, comma-separated list of types."""
+        self.consume(_LPAREN, "'('")
+        types: list[Attribute] = []
+        if self.kind is not _RPAREN:
+            types.append(self.parse_type())
+            while self.kind is _COMMA:
+                self.advance()
+                types.append(self.parse_type())
+        self.consume(_RPAREN, "')'")
+        return types
+
     def _parse_type_or_type_list(self) -> list[Attribute]:
-        if self.peek().kind is TokenKind.LPAREN:
-            self.expect(TokenKind.LPAREN, "'('")
-            results: list[Attribute] = []
-            if self.peek().kind is not TokenKind.RPAREN:
-                results.append(self.parse_type())
-                while self.accept(TokenKind.COMMA):
-                    results.append(self.parse_type())
-            self.expect(TokenKind.RPAREN, "')'")
-            return results
+        if self.kind is _LPAREN:
+            return self._parse_type_list()
         return [self.parse_type()]
 
-    def _parse_dialect_type(self, token: Token) -> Attribute:
+    def _parse_dialect_type(self) -> Attribute:
+        key = self._memo_key()
+        cached = self._memo_hit(key)
+        if cached is not None:
+            return cached
+        token = self.next()
         qualified = token.value
         if "." not in qualified:
             # Unqualified references default to the builtin namespace (§4.2).
@@ -326,22 +377,27 @@ class IRParser:
             raise self.error(f"unknown type '!{token.value}'", token)
         params = self._parse_dialect_params(type_def)
         try:
-            return type_def.instantiate(params)
+            result = type_def.instantiate(params)
         except VerifyError as err:
             raise self.error(str(err), token) from err
+        self._memo_store(key, token.start, result)
+        return result
 
     def _parse_dialect_params(self, definition) -> list[Any]:
         """The ``<...>`` parameter list, honouring custom formats (§4.7)."""
         params: list[Any] = []
-        if self.accept(TokenKind.LESS):
+        if self.kind is _LESS:
+            self.enter()
+            self.advance()
             program = getattr(definition, "param_format", None)
             if program is not None:
                 params = program.parse(self)
-            elif self.peek().kind is not TokenKind.GREATER:
+            elif self.kind is not _GREATER:
                 params.append(self.parse_param())
-                while self.accept(TokenKind.COMMA):
+                while self.accept(_COMMA):
                     params.append(self.parse_param())
-            self.expect(TokenKind.GREATER, "'>'")
+            self.consume(_GREATER, "'>'")
+            self.leave()
         return params
 
     # ------------------------------------------------------------------
@@ -350,112 +406,102 @@ class IRParser:
 
     def parse_param(self) -> Any:
         """Parse one parameter of a parametrized type or attribute."""
-        token = self.peek()
-        if token.kind in (TokenKind.INTEGER, TokenKind.FLOAT, TokenKind.MINUS):
+        kind = self.kind
+        if kind is _INTEGER or kind is _FLOAT or kind is _MINUS:
             return self._parse_numeric_param()
-        if token.kind is TokenKind.STRING:
+        if kind is _STRING:
             return StringParam(self.next().value)
-        if token.kind is TokenKind.LBRACKET:
-            self.next()
+        if kind is _LBRACKET:
+            self.enter()
+            self.advance()
             elements: list[Any] = []
-            if self.peek().kind is not TokenKind.RBRACKET:
+            if self.kind is not _RBRACKET:
                 elements.append(self.parse_param())
-                while self.accept(TokenKind.COMMA):
+                while self.accept(_COMMA):
                     elements.append(self.parse_param())
-            self.expect(TokenKind.RBRACKET, "']'")
+            self.consume(_RBRACKET, "']'")
+            self.leave()
             return ArrayParam(tuple(elements))
-        if token.kind is TokenKind.HASH_IDENT:
+        if kind is _HASH:
             return self.parse_attribute()
-        if token.kind is TokenKind.BARE_IDENT:
-            if token.text == "loc":
+        if kind is _BARE:
+            text = self.text
+            if text == "loc":
                 return self._parse_location_param()
-            if token.text == "typeid":
+            if text == "typeid":
                 return self._parse_typeid_param()
-            if token.text == "opaque":
+            if text == "opaque":
                 return self._parse_opaque_param()
-            if self.peek(1).kind is TokenKind.DOT:
+            if self.peek_kind() is _DOT:
                 return self._parse_enum_param()
-            if self._is_builtin_type_name(token.text):
+            if self._is_builtin_type_name(text):
                 return self.parse_type()
-            raise self.error(f"unknown parameter {token.text!r}", token)
-        if token.kind in (TokenKind.BANG_IDENT, TokenKind.LPAREN):
+            raise self.error(f"unknown parameter {text!r}")
+        if kind is _BANG or kind is _LPAREN:
             return self.parse_type()
-        raise self.error(f"expected a parameter, found {token.text!r}", token)
+        raise self.error(f"expected a parameter, found {self.text!r}")
 
-    def _accept_hex_float(self, int_token: Token, negative: bool) -> float | None:
+    def _accept_hex_float(self, int_text: str, negative: bool) -> float | None:
         """The value of a bit-exact ``0x<bits>`` float literal, if present.
 
-        ``int_token`` is an already-consumed INTEGER token; the hex
-        digits arrive as a following BARE_IDENT starting with ``x``.
-        Returns ``None`` when the upcoming tokens are not a hex float.
+        ``int_text`` is an already-consumed INTEGER; the hex digits
+        arrive as a following BARE_IDENT starting with ``x``.  Returns
+        ``None`` when the upcoming tokens are not a hex float.
         """
-        if int_token.text != "0":
+        if int_text != "0" or self.kind is not _BARE:
             return None
-        follow = self.peek()
-        if (
-            follow.kind is not TokenKind.BARE_IDENT
-            or not _HEX_FLOAT_BITS_RE.match(follow.text)
-        ):
+        bits_text = self.text
+        if not _HEX_FLOAT_BITS_RE.match(bits_text):
             return None
         if negative:
             raise self.error(
                 "hex float literals carry their sign in the bit pattern; "
-                "remove the leading '-'",
-                follow,
+                "remove the leading '-'"
             )
-        self.next()
-        bits = int(follow.text[1:], 16)
+        self.advance()
+        bits = int(bits_text[1:], 16)
         return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
     def _parse_numeric_param(self) -> Any:
-        negative = bool(self.accept(TokenKind.MINUS))
-        token = self.peek()
-        if token.kind is TokenKind.FLOAT:
-            value = float(self.next().text)
+        negative = self.accept(_MINUS)
+        if self.kind is _FLOAT:
+            value = float(self.text)
+            self.advance()
             value = -value if negative else value
             width = 64
-            if self.accept(TokenKind.COLON):
-                suffix = self.expect(TokenKind.BARE_IDENT, "float width")
+            if self.accept(_COLON):
+                suffix = self.expect(_BARE, "float width")
                 match = _FLOAT_TYPE_RE.match(suffix.text)
                 if not match:
                     raise self.error(f"invalid float suffix {suffix.text!r}", suffix)
                 width = int(match.group(1))
             return FloatParam(value, width)
-        token = self.expect(TokenKind.INTEGER, "integer literal")
-        hex_value = self._accept_hex_float(token, negative)
+        text = self.expect_text(_INTEGER, "integer literal")
+        hex_value = self._accept_hex_float(text, negative)
+        value = -int(text) if negative else int(text)
+        suffix = ""
+        if self.kind is _COLON and self.peek_kind() is _BARE:
+            suffix = self.peek(1).text
         if hex_value is not None:
-            width = 64
-            if self.peek().kind is TokenKind.COLON:
-                suffix = self.peek(1)
-                if suffix.kind is TokenKind.BARE_IDENT and _FLOAT_TYPE_RE.match(
-                    suffix.text
-                ):
-                    self.next()
-                    self.next()
-                    width = int(suffix.text[1:])
-            return FloatParam(hex_value, width)
-        value = int(token.text)
-        value = -value if negative else value
-        bitwidth, signed = 32, True
-        if self.peek().kind is TokenKind.COLON:
-            suffix = self.peek(1)
-            if suffix.kind is TokenKind.BARE_IDENT and _PARAM_INT_RE.match(suffix.text):
-                self.next()  # ':'
-                self.next()  # suffix
-                match = _PARAM_INT_RE.match(suffix.text)
-                assert match is not None
-                signed = match.group(1) != "u"
-                bitwidth = int(match.group(2))
-            elif suffix.kind is TokenKind.BARE_IDENT and _FLOAT_TYPE_RE.match(suffix.text):
-                self.next()
-                self.next()
-                return FloatParam(float(value), int(suffix.text[1:]))
-        return IntegerParam(value, bitwidth, signed)
+            if _FLOAT_TYPE_RE.match(suffix):
+                self.advance()
+                self.advance()
+                return FloatParam(hex_value, int(suffix[1:]))
+            return FloatParam(hex_value, 64)
+        if match := _PARAM_INT_RE.match(suffix):
+            self.advance()
+            self.advance()
+            return IntegerParam(value, int(match.group(2)), match.group(1) != "u")
+        if _FLOAT_TYPE_RE.match(suffix):
+            self.advance()
+            self.advance()
+            return FloatParam(float(value), int(suffix[1:]))
+        return IntegerParam(value, 32, True)
 
     def _parse_enum_param(self) -> EnumParam:
-        enum_token = self.expect(TokenKind.BARE_IDENT, "enum name")
-        self.expect(TokenKind.DOT, "'.'")
-        ctor_token = self.expect(TokenKind.BARE_IDENT, "enum constructor")
+        enum_token = self.expect(_BARE, "enum name")
+        self.consume(_DOT, "'.'")
+        ctor_token = self.expect(_BARE, "enum constructor")
         enum = self._resolve_enum(enum_token.text, enum_token)
         if not enum.has_constructor(ctor_token.text):
             raise self.error(
@@ -485,33 +531,38 @@ class IRParser:
             )
         return matches[0]
 
+    def _parse_file_line_col(self) -> tuple[str, int, int]:
+        """``"file":line:col``, the body of a file location."""
+        filename = self.expect(_STRING, "filename string").value
+        self.consume(_COLON, "':'")
+        line = int(self.expect_text(_INTEGER, "line number"))
+        self.consume(_COLON, "':'")
+        column = int(self.expect_text(_INTEGER, "column number"))
+        return filename, line, column
+
     def _parse_location_param(self) -> LocationParam:
-        self.expect(TokenKind.BARE_IDENT, "'loc'")
-        self.expect(TokenKind.LPAREN, "'('")
-        filename = self.expect(TokenKind.STRING, "filename string").value
-        self.expect(TokenKind.COLON, "':'")
-        line = int(self.expect(TokenKind.INTEGER, "line number").text)
-        self.expect(TokenKind.COLON, "':'")
-        column = int(self.expect(TokenKind.INTEGER, "column number").text)
-        self.expect(TokenKind.RPAREN, "')'")
-        return LocationParam(filename, line, column)
+        self.consume(_BARE, "'loc'")
+        self.consume(_LPAREN, "'('")
+        location = LocationParam(*self._parse_file_line_col())
+        self.consume(_RPAREN, "')'")
+        return location
 
     def _parse_typeid_param(self) -> TypeIdParam:
-        self.expect(TokenKind.BARE_IDENT, "'typeid'")
-        self.expect(TokenKind.LESS, "'<'")
-        parts = [self.expect(TokenKind.BARE_IDENT, "class name").text]
-        while self.accept(TokenKind.DOT):
-            parts.append(self.expect(TokenKind.BARE_IDENT, "class name").text)
-        self.expect(TokenKind.GREATER, "'>'")
+        self.consume(_BARE, "'typeid'")
+        self.consume(_LESS, "'<'")
+        parts = [self.expect_text(_BARE, "class name")]
+        while self.accept(_DOT):
+            parts.append(self.expect_text(_BARE, "class name"))
+        self.consume(_GREATER, "'>'")
         return TypeIdParam(".".join(parts))
 
     def _parse_opaque_param(self) -> OpaqueParam:
-        self.expect(TokenKind.BARE_IDENT, "'opaque'")
-        self.expect(TokenKind.LESS, "'<'")
-        class_name = self.expect(TokenKind.STRING, "class name string").value
-        self.expect(TokenKind.COMMA, "','")
-        value = self.expect(TokenKind.STRING, "value string").value
-        self.expect(TokenKind.GREATER, "'>'")
+        self.consume(_BARE, "'opaque'")
+        self.consume(_LESS, "'<'")
+        class_name = self.expect(_STRING, "class name string").value
+        self.consume(_COMMA, "','")
+        value = self.expect(_STRING, "value string").value
+        self.consume(_GREATER, "'>'")
         return OpaqueParam(class_name, value)
 
     # ------------------------------------------------------------------
@@ -519,63 +570,69 @@ class IRParser:
     # ------------------------------------------------------------------
 
     def parse_attribute(self) -> Attribute:
-        token = self.peek()
-        if token.kind is TokenKind.STRING:
+        kind = self.kind
+        if kind is _STRING:
             return battrs.StringAttr.get(self.next().value)
-        if token.kind in (TokenKind.INTEGER, TokenKind.FLOAT, TokenKind.MINUS):
+        if kind is _INTEGER or kind is _FLOAT or kind is _MINUS:
             return self._parse_numeric_attribute()
-        if token.kind is TokenKind.LBRACKET:
-            self.next()
+        if kind is _LBRACKET:
+            self.enter()
+            self.advance()
             elements: list[Attribute] = []
-            if self.peek().kind is not TokenKind.RBRACKET:
+            if self.kind is not _RBRACKET:
                 elements.append(self.parse_attribute())
-                while self.accept(TokenKind.COMMA):
+                while self.accept(_COMMA):
                     elements.append(self.parse_attribute())
-            self.expect(TokenKind.RBRACKET, "']'")
+            self.consume(_RBRACKET, "']'")
+            self.leave()
             return battrs.ArrayAttr.get(elements)
-        if token.kind is TokenKind.LBRACE:
+        if kind is _LBRACE:
             return self._parse_dictionary_attribute()
-        if token.kind is TokenKind.AT_IDENT:
+        if kind is TokenKind.AT_IDENT:
             return battrs.SymbolRefAttr.get(self.next().value)
-        if token.kind is TokenKind.HASH_IDENT:
-            return self._parse_dialect_attribute(self.next())
-        if token.kind is TokenKind.BARE_IDENT:
-            if token.text == "unit":
-                self.next()
+        if kind is _HASH:
+            return self._parse_dialect_attribute()
+        if kind is _BARE:
+            text = self.text
+            if text == "unit":
+                self.advance()
                 return battrs.UnitAttr.get()
-            if token.text == "true":
-                self.next()
+            if text == "true":
+                self.advance()
                 return battrs.IntegerAttr.get(1, btypes.i1)
-            if token.text == "false":
-                self.next()
+            if text == "false":
+                self.advance()
                 return battrs.IntegerAttr.get(0, btypes.i1)
-            if self._is_builtin_type_name(token.text):
+            if self._is_builtin_type_name(text):
                 # Types are attributes; a bare type in attribute position
                 # denotes itself.
                 return self.parse_type()
-        if token.kind in (TokenKind.BANG_IDENT, TokenKind.LPAREN):
+        if kind is _BANG or kind is _LPAREN:
             return self.parse_type()
-        raise self.error(f"expected an attribute, found {token.text!r}", token)
+        raise self.error(f"expected an attribute, found {self.text!r}")
 
     def _parse_numeric_attribute(self) -> Attribute:
-        negative = bool(self.accept(TokenKind.MINUS))
-        token = self.next()
-        if token.kind is TokenKind.FLOAT:
-            value = -float(token.text) if negative else float(token.text)
+        negative = self.accept(_MINUS)
+        kind = self.kind
+        if kind is _FLOAT:
+            value = float(self.text)
+            self.advance()
             attr_type: Attribute = btypes.f64
-            if self.accept(TokenKind.COLON):
+            if self.accept(_COLON):
                 attr_type = self.parse_type()
-            return battrs.FloatAttr.get(value, attr_type)
-        if token.kind is not TokenKind.INTEGER:
-            raise self.error("expected a number", token)
-        hex_value = self._accept_hex_float(token, negative)
+            return battrs.FloatAttr.get(-value if negative else value, attr_type)
+        if kind is not _INTEGER:
+            raise self.error("expected a number")
+        text = self.text
+        self.advance()
+        hex_value = self._accept_hex_float(text, negative)
         if hex_value is not None:
             attr_type = btypes.f64
-            if self.accept(TokenKind.COLON):
+            if self.accept(_COLON):
                 attr_type = self.parse_type()
             return battrs.FloatAttr.get(hex_value, attr_type)
-        int_value = -int(token.text) if negative else int(token.text)
-        if self.accept(TokenKind.COLON):
+        int_value = -int(text) if negative else int(text)
+        if self.accept(_COLON):
             attr_type = self.parse_type()
             if isinstance(attr_type, btypes.FloatType):
                 return battrs.FloatAttr.get(float(int_value), attr_type)
@@ -583,20 +640,27 @@ class IRParser:
         return battrs.IntegerAttr.get(int_value)
 
     def _parse_dictionary_attribute(self) -> Attribute:
-        self.expect(TokenKind.LBRACE, "'{'")
+        self.enter()
+        self.consume(_LBRACE, "'{'")
         entries: dict[str, Attribute] = {}
-        while self.peek().kind is not TokenKind.RBRACE:
-            key = self.expect(TokenKind.BARE_IDENT, "attribute name").text
-            if self.accept(TokenKind.EQUAL):
+        while self.kind is not _RBRACE:
+            key = self.expect_text(_BARE, "attribute name")
+            if self.accept(_EQUAL):
                 entries[key] = self.parse_attribute()
             else:
                 entries[key] = battrs.UnitAttr.get()
-            if not self.accept(TokenKind.COMMA):
+            if not self.accept(_COMMA):
                 break
-        self.expect(TokenKind.RBRACE, "'}'")
+        self.consume(_RBRACE, "'}'")
+        self.leave()
         return intern_attr(battrs.DictionaryAttr(entries))
 
-    def _parse_dialect_attribute(self, token: Token) -> Attribute:
+    def _parse_dialect_attribute(self) -> Attribute:
+        key = self._memo_key()
+        cached = self._memo_hit(key)
+        if cached is not None:
+            return cached
+        token = self.next()
         qualified = token.value
         if "." not in qualified:
             qualified = f"builtin.{qualified}"
@@ -605,9 +669,11 @@ class IRParser:
             raise self.error(f"unknown attribute '#{token.value}'", token)
         params = self._parse_dialect_params(attr_def)
         try:
-            return attr_def.instantiate(params)
+            result = attr_def.instantiate(params)
         except VerifyError as err:
             raise self.error(str(err), token) from err
+        self._memo_store(key, token.start, result)
+        return result
 
     # ------------------------------------------------------------------
     # Operations
@@ -615,17 +681,16 @@ class IRParser:
 
     def parse_operation(self) -> Operation:
         result_tokens: list[Token] = []
-        if self.peek().kind is TokenKind.PERCENT_IDENT:
+        if self.kind is _PERCENT:
             result_tokens.append(self.next())
-            while self.accept(TokenKind.COMMA):
-                result_tokens.append(
-                    self.expect(TokenKind.PERCENT_IDENT, "result name")
-                )
-            self.expect(TokenKind.EQUAL, "'='")
+            while self.accept(_COMMA):
+                result_tokens.append(self.expect(_PERCENT, "result name"))
+            self.consume(_EQUAL, "'='")
         token = self.peek()
-        if token.kind is TokenKind.STRING:
-            op = self._parse_generic_operation()
-        elif token.kind is TokenKind.BARE_IDENT:
+        if token.kind is _STRING:
+            self.advance()
+            op = self._parse_generic_operation(token)
+        elif token.kind is _BARE:
             op = self._parse_custom_operation()
         else:
             raise self.error(
@@ -638,85 +703,57 @@ class IRParser:
                 token,
             )
         for name_token, result in zip(result_tokens, op.results):
-            self.define_value(name_token.value, result, name_token)
+            self.define_value(name_token.text[1:], result, name_token)
         # Provenance: an explicit trailing ``loc(...)`` wins (so printed
-        # IR round-trips); otherwise the op is attributed to the span of
-        # its name token in this source file.
-        explicit = self._parse_optional_location()
-        if explicit is not None:
-            op.location = explicit
+        # IR round-trips); otherwise the op is attributed to the start
+        # of its name token in this source file.
+        if self.kind is _BARE and self.text == "loc" and self.peek_kind() is _LPAREN:
+            self.advance()
+            self.advance()
+            op.location = self._parse_location_value()
+            self.consume(_RPAREN, "')'")
         elif op.location.is_unknown:
-            op.location = Location.from_span(token.span)
+            source = self.source
+            op.location = FileLineColLoc(source.name,
+                                         *source.line_col(token.start))
         return op
 
-    def _parse_optional_location(self) -> Location | None:
-        """A trailing ``loc(...)`` attachment, if present.
-
-        Operation names always contain a dot, so a bare ``loc(`` after
-        an operation is unambiguous.
-        """
-        token = self.peek()
-        if (
-            token.kind is not TokenKind.BARE_IDENT
-            or token.text != "loc"
-            or self.peek(1).kind is not TokenKind.LPAREN
-        ):
-            return None
-        self.next()
-        self.next()
-        location = self._parse_location_value()
-        self.expect(TokenKind.RPAREN, "')'")
-        return location
-
     def _parse_location_value(self) -> Location:
-        token = self.peek()
-        if token.kind is TokenKind.BARE_IDENT and token.text == "unknown":
-            self.next()
+        kind = self.kind
+        if kind is _BARE and self.text == "unknown":
+            self.advance()
             return UNKNOWN_LOC
-        if token.kind is TokenKind.BARE_IDENT and token.text == "fused":
-            self.next()
-            self.expect(TokenKind.LBRACKET, "'['")
+        if kind is _BARE and self.text == "fused":
+            self.enter()
+            self.advance()
+            self.consume(_LBRACKET, "'['")
             parts = [self._parse_location_value()]
-            while self.accept(TokenKind.COMMA):
+            while self.accept(_COMMA):
                 parts.append(self._parse_location_value())
-            self.expect(TokenKind.RBRACKET, "']'")
+            self.consume(_RBRACKET, "']'")
+            self.leave()
             return FusedLoc(parts)
-        if token.kind is TokenKind.STRING:
-            filename = self.next().value
-            self.expect(TokenKind.COLON, "':'")
-            line = int(self.expect(TokenKind.INTEGER, "line number").text)
-            self.expect(TokenKind.COLON, "':'")
-            col = int(self.expect(TokenKind.INTEGER, "column number").text)
-            return FileLineColLoc(filename, line, col)
-        raise self.error(
-            f"expected a location, found {token.text!r}", token
-        )
+        if kind is _STRING:
+            return FileLineColLoc(*self._parse_file_line_col())
+        raise self.error(f"expected a location, found {self.text!r}")
 
-    def _parse_generic_operation(self) -> Operation:
-        name_token = self.expect(TokenKind.STRING, "operation name")
-        op_name = name_token.value
+    def _parse_generic_operation(self, name_token: Token) -> Operation:
         operand_tokens = self._parse_operand_name_list()
         successors = self._parse_successor_list()
         regions: list[Region] = []
-        if self.peek().kind is TokenKind.LPAREN:
-            self.next()
+        if self.kind is _LPAREN:
+            self.advance()
             regions.append(self.parse_region())
-            while self.accept(TokenKind.COMMA):
+            while self.accept(_COMMA):
                 regions.append(self.parse_region())
-            self.expect(TokenKind.RPAREN, "')'")
+            self.consume(_RPAREN, "')'")
         attributes: dict[str, Attribute] = {}
-        if self.peek().kind is TokenKind.LBRACE:
+        if self.kind is _LBRACE:
             attr_dict = self._parse_dictionary_attribute()
             attributes = attr_dict.entries  # type: ignore[union-attr]
-        self.expect(TokenKind.COLON, "':' before the operation type")
-        self.expect(TokenKind.LPAREN, "'('")
-        operand_types: list[Attribute] = []
-        if self.peek().kind is not TokenKind.RPAREN:
-            operand_types.append(self.parse_type())
-            while self.accept(TokenKind.COMMA):
-                operand_types.append(self.parse_type())
-        self.expect(TokenKind.RPAREN, "')'")
-        self.expect(TokenKind.ARROW, "'->'")
+        self.consume(_COLON, "':' before the operation type")
+        operand_types = self._parse_type_list()
+        self.consume(_ARROW, "'->'")
         result_types = self._parse_type_or_type_list()
         if len(operand_tokens) != len(operand_types):
             raise self.error(
@@ -725,12 +762,12 @@ class IRParser:
                 name_token,
             )
         operands = [
-            self.resolve_value(tok.value, ty, tok)
+            self.resolve_value(tok.text[1:], ty, tok)
             for tok, ty in zip(operand_tokens, operand_types)
         ]
         try:
             return self.context.create_operation(
-                op_name,
+                name_token.value,
                 operands=operands,
                 result_types=result_types,
                 attributes=attributes,
@@ -741,11 +778,11 @@ class IRParser:
             raise self.error(str(err), name_token) from err
 
     def _parse_custom_operation(self) -> Operation:
-        parts = [self.expect(TokenKind.BARE_IDENT, "operation name").text]
+        parts = [self.expect_text(_BARE, "operation name")]
         start_token = self.peek()
-        while self.peek().kind is TokenKind.DOT:
-            self.next()
-            parts.append(self.expect(TokenKind.BARE_IDENT, "operation name").text)
+        while self.kind is _DOT:
+            self.advance()
+            parts.append(self.expect_text(_BARE, "operation name"))
         op_name = ".".join(parts)
         definition = self.context.get_op_def(op_name)
         if definition is None:
@@ -759,27 +796,27 @@ class IRParser:
         return definition.parse_custom(self)
 
     def _parse_operand_name_list(self) -> list[Token]:
-        self.expect(TokenKind.LPAREN, "'('")
+        self.consume(_LPAREN, "'('")
         tokens: list[Token] = []
-        if self.peek().kind is not TokenKind.RPAREN:
-            tokens.append(self.expect(TokenKind.PERCENT_IDENT, "operand"))
-            while self.accept(TokenKind.COMMA):
-                tokens.append(self.expect(TokenKind.PERCENT_IDENT, "operand"))
-        self.expect(TokenKind.RPAREN, "')'")
+        if self.kind is not _RPAREN:
+            tokens.append(self.expect(_PERCENT, "operand"))
+            while self.accept(_COMMA):
+                tokens.append(self.expect(_PERCENT, "operand"))
+        self.consume(_RPAREN, "')'")
         return tokens
 
     def _parse_successor_list(self) -> list[Block]:
         successors: list[Block] = []
-        if self.peek().kind is TokenKind.LBRACKET:
-            self.next()
+        if self.kind is _LBRACKET:
+            self.advance()
             successors.append(self._successor_block())
-            while self.accept(TokenKind.COMMA):
+            while self.accept(_COMMA):
                 successors.append(self._successor_block())
-            self.expect(TokenKind.RBRACKET, "']'")
+            self.consume(_RBRACKET, "']'")
         return successors
 
     def _successor_block(self) -> Block:
-        token = self.expect(TokenKind.CARET_IDENT, "successor block")
+        token = self.expect(_CARET, "successor block")
         if not self._block_scopes:
             raise self.error("successor reference outside a region", token)
         scope = self._block_scopes[-1]
@@ -794,19 +831,20 @@ class IRParser:
     # ------------------------------------------------------------------
 
     def parse_region(self) -> Region:
-        self.expect(TokenKind.LBRACE, "'{'")
+        self.enter()
+        self.consume(_LBRACE, "'{'")
         region = Region()
         scope: dict[str, Block] = {}
         self._block_scopes.append(scope)
         self._push_value_scope()
-        defined: list[str] = []
+        defined: set[str] = set()
         try:
             # Anonymous entry block (no leading label).
-            if self.peek().kind not in (TokenKind.CARET_IDENT, TokenKind.RBRACE):
+            if self.kind is not _CARET and self.kind is not _RBRACE:
                 entry = Block()
                 region.add_block(entry)
                 self._parse_block_body(entry)
-            while self.peek().kind is TokenKind.CARET_IDENT:
+            while self.kind is _CARET:
                 label = self.next()
                 block = scope.get(label.value)
                 if block is None:
@@ -816,21 +854,20 @@ class IRParser:
                     raise self.error(
                         f"block ^{label.value} is defined twice", label
                     )
-                defined.append(label.value)
-                if self.accept(TokenKind.LPAREN):
-                    while self.peek().kind is TokenKind.PERCENT_IDENT:
+                defined.add(label.value)
+                if self.accept(_LPAREN):
+                    while self.kind is _PERCENT:
                         arg_token = self.next()
-                        self.expect(TokenKind.COLON, "':'")
-                        arg_type = self.parse_type()
-                        arg = block.insert_arg(arg_type)
-                        self.define_value(arg_token.value, arg, arg_token)
-                        if not self.accept(TokenKind.COMMA):
+                        self.consume(_COLON, "':'")
+                        arg = block.insert_arg(self.parse_type())
+                        self.define_value(arg_token.text[1:], arg, arg_token)
+                        if not self.accept(_COMMA):
                             break
-                    self.expect(TokenKind.RPAREN, "')'")
-                self.expect(TokenKind.COLON, "':'")
+                    self.consume(_RPAREN, "')'")
+                self.consume(_COLON, "':'")
                 region.add_block(block)
                 self._parse_block_body(block)
-            self.expect(TokenKind.RBRACE, "'}'")
+            self.consume(_RBRACE, "'}'")
             undefined = [name for name in scope if name not in defined]
             if undefined:
                 names = ", ".join(f"^{n}" for n in sorted(undefined))
@@ -838,15 +875,14 @@ class IRParser:
             self._pop_value_scope()
         finally:
             self._block_scopes.pop()
+        self.leave()
         return region
 
     def _parse_block_body(self, block: Block) -> None:
-        while self.peek().kind not in (
-            TokenKind.CARET_IDENT,
-            TokenKind.RBRACE,
-            TokenKind.EOF,
-        ):
+        kind = self.kind
+        while kind is not _CARET and kind is not _RBRACE and kind is not _EOF:
             block.add_op(self.parse_operation())
+            kind = self.kind
 
     # ------------------------------------------------------------------
     # Entry points
@@ -855,7 +891,7 @@ class IRParser:
     def parse_module(self) -> Operation:
         """Parse a whole file: one op, or several wrapped in builtin.module."""
         ops: list[Operation] = []
-        while not self.at_end():
+        while self.kind is not _EOF:
             ops.append(self.parse_operation())
         self._check_no_pending()
         if len(ops) == 1 and ops[0].name == "builtin.module":
@@ -876,17 +912,17 @@ class IRParser:
 
 def parse_module(context: Context, text: str, name: str = "<input>") -> Operation:
     """Parse textual IR into a ``builtin.module`` operation."""
-    parser = IRParser(context, text, name)
     if not OBS.active:
-        return parser.parse_module()
+        return IRParser(context, text, name).parse_module()
     start = _timing.now()
     with OBS.tracer.span("textir.parse", category="textir", file=name):
+        parser = IRParser(context, text, name)
         module = parser.parse_module()
     metrics = OBS.metrics
     if metrics.enabled:
         scope = metrics.scope("textir")
         scope.timer("parser.parse_time").record(_timing.now() - start)
-        scope.counter("lexer.tokens").inc(parser._lexer.tokens_lexed)
+        scope.counter("lexer.tokens").inc(parser.tokens_consumed)
         ops_parsed = count_ops(module)
         scope.counter("parser.ops_parsed").inc(ops_parsed)
         scope.histogram("parser.module_ops").observe(ops_parsed)

@@ -61,18 +61,24 @@ class SourceFile:
     _line_starts: list[int] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
+        contents = self.contents
+        find = contents.find
         starts = [0]
-        for index, char in enumerate(self.contents):
-            if char == "\n":
-                starts.append(index + 1)
+        newline = find("\n")
+        while newline >= 0:
+            starts.append(newline + 1)
+            newline = find("\n", newline + 1)
         self._line_starts = starts
+
+    def line_col(self, offset: int) -> tuple[int, int]:
+        """The 1-based ``(line, column)`` of a byte offset."""
+        offset = max(0, min(offset, len(self.contents)))
+        line_index = bisect.bisect_right(self._line_starts, offset) - 1
+        return line_index + 1, offset - self._line_starts[line_index] + 1
 
     def position_of(self, offset: int) -> Position:
         """Convert a byte offset into a 1-based line/column position."""
-        offset = max(0, min(offset, len(self.contents)))
-        line_index = bisect.bisect_right(self._line_starts, offset) - 1
-        column = offset - self._line_starts[line_index] + 1
-        return Position(line_index + 1, column)
+        return Position(*self.line_col(offset))
 
     def line_text(self, line: int) -> str:
         """The text of a 1-based line, without its trailing newline."""

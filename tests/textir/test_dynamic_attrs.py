@@ -5,6 +5,7 @@ import pytest
 from repro.builtin import default_context, f32
 from repro.ir import EnumParam, IntegerParam, StringParam
 from repro.irdl import register_irdl
+from repro.textir import TokenKind
 from repro.textir.parser import IRParser
 from repro.textir.printer import print_attribute, print_type
 from repro.utils import DiagnosticError
@@ -55,6 +56,43 @@ class TestDynamicTypes:
     def test_wrong_arity_at_parse(self, mctx):
         with pytest.raises(DiagnosticError, match="2 parameters"):
             IRParser(mctx, '!meta.handle<"h">').parse_type()
+
+
+class TestParseMemo:
+    """Repeated type text within one parse returns the first parse's object."""
+
+    def parse_types(self, mctx, text):
+        parser = IRParser(mctx, text)
+        types = [parser.parse_type()]
+        while parser.accept(TokenKind.COMMA):
+            types.append(parser.parse_type())
+        assert parser.at_end()
+        return types
+
+    def test_repeats_are_identical(self, mctx):
+        text = ('!meta.handle<"h", 8 : uint32_t>, f32, '
+                '!meta.handle<"h", 8 : uint32_t>, f32, '
+                '!meta.handle<"h", 9 : uint32_t>')
+        first, scalar, again, scalar_again, other = self.parse_types(mctx, text)
+        assert again is first and scalar_again is scalar is f32
+        assert other is not first
+        assert other.parameters[1] == IntegerParam(9, 32, False)
+
+    def test_closing_bracket_inside_a_string(self, mctx):
+        text = ('!meta.handle<"a>b", 1 : uint32_t>, '
+                '!meta.handle<"a>c", 1 : uint32_t>, '
+                '!meta.handle<"a>b", 1 : uint32_t>')
+        first, second, third = self.parse_types(mctx, text)
+        assert first.parameters[0] == StringParam("a>b")
+        assert second.parameters[0] == StringParam("a>c")
+        assert third is first
+
+    def test_spacing_variants_agree(self, mctx):
+        text = ('!meta.handle<"h", 8 : uint32_t>, '
+                '!meta.handle < "h" , 8 : uint32_t >, '
+                '!meta.handle<"h",8:uint32_t>')
+        first, spaced, tight = self.parse_types(mctx, text)
+        assert spaced is first and tight is first
 
 
 class TestDynamicAttributes:

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.builtin import default_context
 from repro.textir import Lexer, TokenKind
+from repro.textir.lexer import TokenStream
+from repro.textir.parser import parse_module
 from repro.utils import DiagnosticError, SourceFile
 
 
@@ -97,3 +100,48 @@ class TestTrivia:
         tokens = lex("a\n  b")
         assert tokens[1].span.start_position.line == 2
         assert tokens[1].span.start_position.column == 3
+
+
+class TestTokenStream:
+    """The cursor over lexer chunks agrees with ``Lexer.tokenize``."""
+
+    LONG = "%v = f(%a, [1, 2.5]) : i32 // note\n" * 700  # several chunks
+
+    def test_walk_with_lookahead_matches_tokenize(self):
+        tokens = Lexer(SourceFile(self.LONG)).tokenize()
+        stream = TokenStream(self.LONG)
+        for index, token in enumerate(tokens):
+            assert stream.kind is token.kind
+            assert stream.text == token.text
+            for offset in (1, 2):
+                ahead = tokens[min(index + offset, len(tokens) - 1)]
+                assert stream.peek_kind(offset) is ahead.kind
+            assert stream.peek().span.start == token.span.start
+            assert stream.tokens_consumed == index
+            if index:
+                assert stream.prev_end == tokens[index - 1].span.end
+            stream.advance()
+        assert stream.at_end()
+
+    def test_cursor_stays_at_eof(self):
+        stream = TokenStream("a")
+        stream.advance()
+        stream.advance()
+        assert stream.at_end()
+        assert stream.peek_kind(3) is TokenKind.EOF
+        assert stream.tokens_consumed == 1
+
+    def test_lex_error_raised_only_when_reached(self):
+        text = "a " * 5000 + "§"
+        stream = TokenStream(text)
+        for _ in range(4999):
+            stream.advance()
+        with pytest.raises(DiagnosticError, match="unexpected character"):
+            stream.advance()
+
+    def test_parse_error_before_a_lex_error_wins(self):
+        text = '"builtin.module"() ({\n}) : () -> )\n' + "x\n" * 3000 + "§"
+        with pytest.raises(DiagnosticError) as info:
+            parse_module(default_context(), text)
+        (diag,) = info.value.diagnostics
+        assert diag.message == "expected a type, found ')'"
