@@ -87,15 +87,34 @@ class Block:
         return self.insert_op(op, self.index_of(anchor) + 1)
 
     def index_of(self, op: "Operation") -> int:
-        for index, candidate in enumerate(self.ops):
-            if candidate is op:
-                return index
+        # Operation defines no __eq__, so list.index compares by identity.
+        if op.parent is self:
+            try:
+                return self.ops.index(op)
+            except ValueError:
+                pass
         raise InvalidIRStructureError(f"operation {op.name} is not in this block")
 
     def detach_op(self, op: "Operation") -> "Operation":
         self.ops.pop(self.index_of(op))
         op.parent = None
         return op
+
+    def detach_ops(self, ops: set["Operation"]) -> None:
+        """Remove every operation of the set ``ops`` in one pass.
+
+        The batch form of :meth:`detach_op` for passes that erase many
+        ops of one block: the survivors keep their order and the list is
+        rebuilt once, instead of once per removed op.
+        """
+        for op in ops:
+            if op.parent is not self:
+                raise InvalidIRStructureError(
+                    f"operation {op.name} is not in this block"
+                )
+        self.ops[:] = [op for op in self.ops if op not in ops]
+        for op in ops:
+            op.parent = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -151,9 +170,7 @@ class Block:
     def drop_all_references(self) -> None:
         """Drop operand references of everything in this block (for erase)."""
         for op in self.ops:
-            op.operands = ()
-            for region in op.regions:
-                region.drop_all_references()
+            op.drop_all_references()
 
     def __repr__(self) -> str:
         return f"<Block with {len(self.args)} args, {len(self.ops)} ops>"

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.ir.block import Block
-from repro.ir.exceptions import VerifyError
+from repro.ir.exceptions import InvalidIRStructureError, VerifyError
 from repro.ir.operation import Operation
 from repro.ir.region import Region
 from repro.ir.value import BlockArgument, OpResult, SSAValue
@@ -183,7 +183,26 @@ class DominanceInfo:
         return block, index
 
 
-def _defining_point(value: SSAValue) -> tuple[Block | None, int]:
+# Per-block op -> index maps, built lazily on the first query of each
+# block; valid only while no block changes.
+_Positions = dict[Block, dict[Operation, int]]
+
+
+def _position(block: Block, op: Operation, positions: _Positions) -> int:
+    """``block.index_of(op)``, through the block's map in ``positions``."""
+    index_map = positions.get(block)
+    if index_map is None:
+        index_map = positions[block] = {
+            candidate: index for index, candidate in enumerate(block.ops)
+        }
+    index = index_map.get(op)
+    if index is None:
+        raise InvalidIRStructureError(f"operation {op.name} is not in this block")
+    return index
+
+
+def _defining_point(value: SSAValue,
+                    positions: _Positions) -> tuple[Block | None, int]:
     """The (block, index) after which a value is available.
 
     Block arguments are available from index -1 (before the first op).
@@ -194,15 +213,16 @@ def _defining_point(value: SSAValue) -> tuple[Block | None, int]:
     op = value.op
     if op.parent is None:
         return None, -1
-    return op.parent, op.parent.index_of(op)
+    return op.parent, _position(op.parent, op, positions)
 
 
-def _enclosing_chain(op: Operation) -> Iterator[tuple[Block, int]]:
+def _enclosing_chain(op: Operation,
+                     positions: _Positions) -> Iterator[tuple[Block, int]]:
     """(block, op-index) pairs for the op and each enclosing ancestor."""
     current: Operation | None = op
     while current is not None and current.parent is not None:
         block = current.parent
-        yield block, block.index_of(current)
+        yield block, _position(block, current, positions)
         current = block.parent.parent if block.parent is not None else None
 
 
@@ -216,10 +236,17 @@ def value_dominates_use(value: SSAValue, user: Operation,
     AnalysisManager` (which survives across calls and is invalidated on
     mutation); ``manager`` wins when both are given.
     """
-    def_block, def_index = _defining_point(value)
+    return _dominates(value, user, cache, manager, {})
+
+
+def _dominates(value: SSAValue, user: Operation,
+               cache: dict[int, DominanceInfo] | None,
+               manager: object | None, positions: _Positions) -> bool:
+    """:func:`value_dominates_use`, sharing op positions across queries."""
+    def_block, def_index = _defining_point(value, positions)
     if def_block is None:
         return False
-    for use_block, use_index in _enclosing_chain(user):
+    for use_block, use_index in _enclosing_chain(user, positions):
         if use_block is def_block:
             return def_index < use_index
         if def_block.parent is use_block.parent and def_block.parent is not None:
@@ -245,9 +272,10 @@ def verify_dominance(root: Operation, manager: object | None = None) -> None:
     rebuilding them for this one traversal.
     """
     cache: dict[int, DominanceInfo] | None = None if manager is not None else {}
+    positions: _Positions = {}
     for op in root.walk():
         for i, operand in enumerate(op.operands):
-            if not value_dominates_use(operand, op, cache, manager):
+            if not _dominates(operand, op, cache, manager, positions):
                 raise VerifyError(
                     f"operand #{i} of {op.name} is not dominated by its "
                     f"definition",

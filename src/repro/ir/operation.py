@@ -166,12 +166,31 @@ class Operation:
         if safe_erase:
             for res in self.results:
                 res.erase_check()
+        self.drop_all_references()
+
+    def drop_all_references(self) -> None:
+        """Drop the operand uses of this op and of everything nested in it.
+
+        This is :meth:`erase` without the detach, for passes that remove
+        many ops of one block at once with
+        :meth:`~repro.ir.block.Block.detach_ops`.
+        """
         for region in self.regions:
             region.drop_all_references()
         self._set_operands(())
 
     def replace_by(self, values: Sequence[SSAValue]) -> None:
         """Replace all result uses with ``values`` and erase this op."""
+        self.replace_and_drop(values)
+        self.detach()
+
+    def replace_and_drop(self, values: Sequence[SSAValue]) -> None:
+        """:meth:`replace_by` without the detach.
+
+        Redirects every result use to ``values`` and drops this op's
+        operand uses, for passes that then remove many ops of one block
+        at once with :meth:`~repro.ir.block.Block.detach_ops`.
+        """
         if len(values) != len(self.results):
             raise InvalidIRStructureError(
                 f"replace_by got {len(values)} values for "
@@ -179,7 +198,9 @@ class Operation:
             )
         for result, value in zip(self.results, values):
             result.replace_all_uses_with(value)
-        self.erase()
+        for result in self.results:
+            result.erase_check()
+        self.drop_all_references()
 
     def clone(
         self, value_map: dict[SSAValue, SSAValue] | None = None

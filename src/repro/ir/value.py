@@ -68,11 +68,11 @@ class SSAValue:
 
     def users(self) -> Iterator["Operation"]:
         """Operations that use this value (deduplicated, stable order)."""
-        seen: list[Operation] = []
-        for use in sorted(self.uses, key=lambda u: u.index):
-            if all(use.operation is not op for op in seen):
-                seen.append(use.operation)
-        return iter(seen)
+        # Operation defines no __eq__, so the dict keys compare by
+        # identity; dicts keep first-insertion order.
+        return iter(dict.fromkeys(
+            use.operation for use in sorted(self.uses, key=lambda u: u.index)
+        ))
 
     def replace_all_uses_with(self, replacement: "SSAValue") -> None:
         """Redirect every use of this value to ``replacement``."""

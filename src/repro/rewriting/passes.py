@@ -24,8 +24,10 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 from repro.ir.attributes import Attribute
+from repro.ir.block import Block
 from repro.ir.context import Context
 from repro.ir.operation import Operation
+from repro.ir.value import OpResult
 from repro.obs import timing as _timing
 from repro.obs.instrument import OBS, count_ops
 from repro.obs.timing import PassRunRecord
@@ -66,8 +68,10 @@ class Pass:
 class DeadCodeElimination(Pass):
     """Erase pure operations none of whose results are used.
 
-    Runs to a fixpoint so chains of dead producers disappear in one
-    invocation.
+    One worklist pass: it starts from the dead ops of a single walk and,
+    as each op goes, revisits the producers of the operands it dropped,
+    so chains of dead producers disappear in one invocation.  Dead ops
+    leave each block in one batch.
     """
 
     name = "dce"
@@ -76,19 +80,28 @@ class DeadCodeElimination(Pass):
         self.is_pure = is_pure
 
     def run(self, root: Operation) -> bool:
-        changed_any = False
-        while True:
-            dead = [
-                op
-                for op in root.walk(include_self=False)
-                if self.is_pure(op)
-                and not any(result.has_uses for result in op.results)
-            ]
-            if not dead:
-                return changed_any
-            for op in dead:
-                op.erase()
-            changed_any = True
+        worklist = list(root.walk(include_self=False))
+        # The ops still in the tree: a producer outside it (above a
+        # nested root, or inside an erased region) is never erased.
+        live = set(worklist)
+        worklist.reverse()  # pop the seeds in walk order
+        dead: dict[Block, set[Operation]] = {}
+        while worklist:
+            op = worklist.pop()
+            if (op not in live or not self.is_pure(op)
+                    or any(result.uses for result in op.results)):
+                continue
+            producers = []
+            for nested in op.walk():
+                live.discard(nested)
+                producers.extend(operand.op for operand in nested.operands
+                                 if isinstance(operand, OpResult))
+            op.drop_all_references()
+            dead.setdefault(op.parent, set()).add(op)
+            worklist.extend(p for p in producers if p in live)
+        for block, block_dead in dead.items():
+            block.detach_ops(block_dead)
+        return bool(dead)
 
 
 def _operation_key(op: Operation) -> tuple:
@@ -128,20 +141,19 @@ class CommonSubexpressionElimination(Pass):
                         changed |= self._run_on_block(block)
         return changed
 
-    def _run_on_block(self, block) -> bool:
+    def _run_on_block(self, block: Block) -> bool:
         seen: dict[tuple, Operation] = {}
-        changed = False
-        for op in list(block.ops):
+        duplicates: set[Operation] = set()
+        for op in block.ops:
             if not self.is_pure(op):
                 continue
-            key = _operation_key(op)
-            existing = seen.get(key)
-            if existing is None:
-                seen[key] = op
-                continue
-            op.replace_by(list(existing.results))
-            changed = True
-        return changed
+            existing = seen.setdefault(_operation_key(op), op)
+            if existing is not op:
+                op.replace_and_drop(existing.results)
+                duplicates.add(op)
+        if duplicates:
+            block.detach_ops(duplicates)
+        return bool(duplicates)
 
     def _run_on_region(self, region) -> bool:
         from repro.ir.dominance import DominanceInfo
@@ -165,26 +177,23 @@ class CommonSubexpressionElimination(Pass):
                 steps += 1
 
         for block in sorted(region.blocks, key=depth):
-            for op in list(block.ops):
+            duplicates: set[Operation] = set()
+            for op in block.ops:
                 if not self.is_pure(op):
                     continue
                 key = _operation_key(op)
+                # A candidate from this block precedes ``op``, and
+                # dominance between blocks is reflexive.
                 for candidate in seen.get(key, ()):
-                    candidate_block = candidate.parent
-                    if candidate_block is block and (
-                        block.index_of(candidate) < block.index_of(op)
-                    ):
-                        op.replace_by(list(candidate.results))
-                        changed = True
-                        break
-                    if candidate_block is not block and info.dominates_block(
-                        candidate_block, block
-                    ):
-                        op.replace_by(list(candidate.results))
-                        changed = True
+                    if info.dominates_block(candidate.parent, block):
+                        op.replace_and_drop(candidate.results)
+                        duplicates.add(op)
                         break
                 else:
                     seen.setdefault(key, []).append(op)
+            if duplicates:
+                block.detach_ops(duplicates)
+                changed = True
         return changed
 
 

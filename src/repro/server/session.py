@@ -22,6 +22,7 @@ from repro.ir.context import Context
 from repro.ir.exceptions import UnregisteredConstructError
 from repro.textir.parser import parse_module
 from repro.textir.printer import print_op
+from repro.utils.diagnostics import DiagnosticError
 
 if TYPE_CHECKING:
     from repro.ir.dialect import DialectBinding
@@ -104,14 +105,26 @@ class Session:
     # ------------------------------------------------------------------
 
     def load_module(self, data: bytes | str, name: str = "<input>") -> "Operation":
-        """Parse or decode an IR payload into a module operation."""
+        """Parse or decode an IR payload into a module operation.
+
+        A byte payload that is not bytecode must be UTF-8 text; invalid
+        UTF-8 raises a :class:`~repro.utils.DiagnosticError` naming the
+        byte offset of the first bad byte.
+        """
         from repro.bytecode import decode_module, is_bytecode
 
         if isinstance(data, str):
             return parse_module(self.ctx, data, name)
         if is_bytecode(data):
             return decode_module(self.ctx, data, name=name)
-        return parse_module(self.ctx, data.decode("utf-8"), name)
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise DiagnosticError.at(
+                f"{name}: invalid UTF-8 at byte offset {err.start} "
+                f"({err.reason})"
+            ) from None
+        return parse_module(self.ctx, text, name)
 
     def emit(self, module: "Operation", emit: str = "text",
              print_locations: bool = False) -> str | bytes:

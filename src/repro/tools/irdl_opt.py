@@ -845,10 +845,6 @@ def _run_pipeline(args: argparse.Namespace, observation: _Observation) -> int:
         # parameter-constraint failure there surfaces as a VerifyError.
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except UnicodeDecodeError as err:
-        print(f"error: {input_name} is neither bytecode nor UTF-8 text: "
-              f"{err}", file=sys.stderr)
-        return 1
 
     if not args.no_verify:
         report = None

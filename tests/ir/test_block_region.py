@@ -39,6 +39,27 @@ class TestBlockOps:
         with pytest.raises(InvalidIRStructureError):
             Block().index_of(Operation("test.a"))
 
+    def test_index_of_op_of_another_block(self):
+        op = Block(ops=[Operation("test.a")]).ops[0]
+        with pytest.raises(InvalidIRStructureError):
+            Block(ops=[Operation("test.b")]).index_of(op)
+
+    def test_detach_ops_keeps_survivor_order(self):
+        ops = [Operation(f"test.{i}") for i in "abcde"]
+        block = Block(ops=ops)
+        block_ops = block.ops
+        block.detach_ops({ops[0], ops[2], ops[4]})
+        assert block.ops == [ops[1], ops[3]] and block.ops is block_ops
+        assert [op.parent for op in ops] == [None, block, None, block, None]
+        assert block.index_of(ops[3]) == 1
+
+    def test_detach_ops_rejects_foreign_op_untouched(self):
+        ops = [Operation("test.a"), Operation("test.b")]
+        block = Block(ops=ops)
+        with pytest.raises(InvalidIRStructureError):
+            block.detach_ops({ops[0], Operation("test.c")})
+        assert block.ops == ops and ops[0].parent is block
+
     def test_first_last_op(self):
         block = Block()
         assert block.first_op is None and block.last_op is None

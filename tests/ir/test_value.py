@@ -32,6 +32,16 @@ class TestUses:
         assert len(list(arg.users())) == 1
         assert next(arg.users()) is op
 
+    def test_users_in_operand_index_order(self):
+        block = Block([f32, f32])
+        a, b = block.args
+        second = Operation("test.second", operands=[b, a])
+        first = Operation("test.first", operands=[a, b])
+        both = Operation("test.both", operands=[a, a])
+        users = list(a.users())
+        assert users[:2] in ([first, both], [both, first])
+        assert users[2:] == [second]
+
     def test_set_operand_moves_use(self):
         block, op = make_block_with_op()
         a, b = block.args

@@ -76,6 +76,35 @@ class TestDCE:
         nothing_pure = DeadCodeElimination(is_pure=lambda op: False)
         assert not nothing_pure.run(module)
 
+    def test_producer_outside_the_root_is_kept(self, ctx):
+        """Erasing the last use inside a nested root spares the producer."""
+        outer = constant(ctx, 1)
+        inner = ctx.create_operation("arith.addi",
+                                     operands=[outer.results[0]] * 2,
+                                     result_types=[i32])
+        func = ctx.create_operation("func.func",
+                                    regions=[Region([Block(ops=[inner])])])
+        module_of(ctx, [outer, func])
+        assert DeadCodeElimination().run(func)
+        assert inner.parent is None
+        assert outer.parent is not None and not outer.results[0].has_uses
+
+    def test_chain_through_an_erased_region(self, ctx):
+        """A value read only inside a dead region op dies with it."""
+        outer = constant(ctx, 1)
+        inner = ctx.create_operation("arith.addi",
+                                     operands=[outer.results[0]] * 2,
+                                     result_types=[i32])
+        holder = ctx.create_operation("func.func", result_types=[i32],
+                                      regions=[Region([Block(ops=[inner])])])
+        used = constant(ctx, 2)
+        keep = ctx.create_operation("func.return", operands=[used.results[0]])
+        module = module_of(ctx, [outer, holder, used, keep])
+        dce = DeadCodeElimination(is_pure=lambda op: bool(op.results))
+        assert dce.run(module)
+        assert module.regions[0].blocks[0].ops == [used, keep]
+        assert holder.parent is None and outer.parent is None
+
 
 class TestCSE:
     def test_deduplicates_identical_constants(self, ctx):

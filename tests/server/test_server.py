@@ -121,6 +121,12 @@ class TestRequestTypes:
                     assert excinfo.value.code == ErrorCode.PARSE_ERROR
 
                     with pytest.raises(ServerError) as excinfo:
+                        await client.parse(GOOD_IR.encode() + b"\xc3(")
+                    assert excinfo.value.code == ErrorCode.PARSE_ERROR
+                    assert (f"invalid UTF-8 at byte offset {len(GOOD_IR)}"
+                            in str(excinfo.value))
+
+                    with pytest.raises(ServerError) as excinfo:
                         await client.register_dialect(cmath_text)
                     assert excinfo.value.code == ErrorCode.DIALECT_ERROR
 

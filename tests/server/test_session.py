@@ -4,6 +4,7 @@ import pytest
 
 from repro.ir.exceptions import VerifyError
 from repro.server.session import Session
+from repro.utils import DiagnosticError
 from tests.server.conftest import BAD_IR, GOOD_IR, TOY_DIALECT
 
 
@@ -54,6 +55,13 @@ class TestPipeline:
         assert isinstance(data, bytes)
         again = session.load_module(data)
         assert session.emit(again) == session.emit(module)
+
+    def test_invalid_utf8_is_a_diagnostic(self, session):
+        data = GOOD_IR.encode() + b"\n\xff"
+        with pytest.raises(DiagnosticError,
+                           match=f"in.mlir: invalid UTF-8 at byte offset "
+                                 f"{len(GOOD_IR) + 1} "):
+            session.load_module(data, "in.mlir")
 
     def test_verify_failure_raises(self, session):
         module = session.load_module(BAD_IR)

@@ -4,7 +4,9 @@ The robustness contract of the three text parsers (textual IR, IRDL and
 pattern files) is that no input — truncated, character-flipped, or with
 tokens deleted or duplicated — escapes as anything but a
 :class:`~repro.utils.DiagnosticError`: never a raw ``IndexError``,
-``KeyError``, ``RecursionError`` or ``StopIteration``.  All mutations
+``KeyError``, ``RecursionError`` or ``StopIteration``.  The same holds
+for a byte payload that is not valid UTF-8: it never escapes as a
+``UnicodeDecodeError``.  All mutations
 derive from fixed seeds so failures reproduce exactly.
 """
 
@@ -20,6 +22,7 @@ from repro.corpus import cmath_source, dialect_source
 from repro.irdl import register_irdl
 from repro.irdl.parser import parse_irdl
 from repro.rewriting.declarative import PatternParser
+from repro.server.session import Session
 from repro.textir import Lexer
 from repro.textir.parser import parse_module
 from repro.utils import DiagnosticError, SourceFile
@@ -166,3 +169,23 @@ def test_pure_garbage():
                           for _ in range(rng.randrange(0, 60)))
         for parse, _ in SURFACES.values():
             check(parse, garbage)
+
+
+#: Byte sequences that are not UTF-8: a stray continuation byte, bytes
+#: that never occur, a truncated two-byte sequence, an overlong
+#: encoding and an encoded surrogate.
+INVALID_UTF8 = (b"\x80", b"\xff", b"\xc3", b"\xc0\xaf", b"\xed\xa0\x80")
+
+
+def test_invalid_utf8_bytes():
+    """Invalid UTF-8 in a text payload is a diagnostic naming its offset."""
+    session = Session()
+    session.register_dialect_data(cmath_source().encode(), "cmath.irdl")
+    data = IR_INPUT.encode("utf-8")
+    rng = random.Random("utf8")
+    for _ in range(200):
+        pos = rng.randrange(len(data) + 1)
+        bad = rng.choice(INVALID_UTF8)
+        with pytest.raises(DiagnosticError,
+                           match=f"invalid UTF-8 at byte offset {pos} "):
+            session.load_module(data[:pos] + bad + data[pos:], "<fuzz>")

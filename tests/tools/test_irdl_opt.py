@@ -60,6 +60,16 @@ class TestDriver:
         assert exit_code == 1
         assert "verification failed" in capsys.readouterr().err
 
+    def test_invalid_utf8_input_is_an_error(self, tmp_path, cmath_irdl,
+                                            capsys):
+        path = tmp_path / "input.mlir"
+        path.write_bytes(b"// caf\xe9\n")
+        exit_code = main(["--irdl", cmath_irdl, str(path)])
+        assert exit_code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "invalid UTF-8 at byte offset 6" in err
+
     def test_parse_time_constraint_failure_is_an_error(self, tmp_path,
                                                        cmath_irdl, capsys):
         # Declarative-format parsing instantiates types; a parameter
