@@ -259,6 +259,10 @@ class Reader:
             raise self.error(f"{what} {value} out of range (limit {limit})")
         return value
 
+    def count(self, what: str) -> int:
+        """A count of items that each take at least one more byte."""
+        return self.bounded_varint(self.remaining + 1, what)
+
     def string_bytes(self) -> str:
         length = self.varint()
         data = self.raw(length)

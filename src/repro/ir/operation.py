@@ -54,10 +54,9 @@ class Operation:
         location: Location | None = None,
     ):
         self.name = name
-        self._operands: tuple[SSAValue, ...] = ()
-        self.results: tuple[OpResult, ...] = tuple(
+        self.results: tuple[OpResult, ...] = tuple([
             OpResult(t, self, i) for i, t in enumerate(result_types)
-        )
+        ])
         self.attributes: dict[str, Attribute] = dict(attributes or {})
         self.successors: list[Block] = list(successors)
         self.regions: list[Region] = []
@@ -66,7 +65,11 @@ class Operation:
         self.location: Location = (
             location if location is not None else UNKNOWN_LOC
         )
-        self._set_operands(operands)
+        # A fresh op has no uses to drop: the second half of
+        # _set_operands, without the call.
+        self._operands: tuple[SSAValue, ...] = tuple(operands)
+        for index, operand in enumerate(self._operands):
+            operand.add_use(Use(self, index))
         for region in regions:
             self.add_region(region)
 

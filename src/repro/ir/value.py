@@ -95,7 +95,10 @@ class OpResult(SSAValue):
     __slots__ = ("op", "index")
 
     def __init__(self, value_type: Attribute, op: "Operation", index: int):
-        super().__init__(value_type)
+        # SSAValue.__init__ inlined: one result per op on every IR path.
+        self.type = value_type
+        self.uses = set()
+        self.name_hint = None
         self.op = op
         self.index = index
 

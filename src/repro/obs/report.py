@@ -54,7 +54,8 @@ INSTRUMENT_CATALOG: dict[str, str] = {
     "bytecode.encode.dialect_bytes": "encoded dialect artifact sizes",
     "bytecode.encode.time": "wall time encoding bytecode",
     "bytecode.decode.modules": "IR modules deserialized from bytecode",
-    "bytecode.decode.ops": "operations deserialized from bytecode",
+    "bytecode.decode.ops": "operations materialized from bytecode, by "
+    "eager decodes and lazy forces alike",
     "bytecode.decode.dialects": "IRDL dialects deserialized from bytecode",
     "bytecode.decode.module_bytes": "decoded module artifact sizes",
     "bytecode.decode.dialect_bytes": "decoded dialect artifact sizes",
@@ -64,11 +65,11 @@ INSTRUMENT_CATALOG: dict[str, str] = {
     "bytecode.encode.streamed": "modules serialized through the "
     "streaming writer",
     "bytecode.lazy.opens": "lazy module readers opened",
-    "bytecode.lazy.fallbacks": "lazy opens that fell back to eager "
-    "decoding (no op-index section)",
+    "bytecode.lazy.fallbacks": "lazy opens of artifacts without an "
+    "op-index section (read whole at open)",
     "bytecode.lazy.ops_indexed": "top-level ops indexed at lazy open",
-    "bytecode.lazy.ops_forced": "lazily indexed top-level ops "
-    "materialized on demand",
+    "bytecode.lazy.ops_forced": "top-level handles forced on demand "
+    "(their ops count in bytecode.decode.ops)",
     "bytecode.lazy.open_time": "wall time opening lazy module readers "
     "(tables + shell, no op bodies)",
     "parallel.verify.runs": "sharded verification runs",

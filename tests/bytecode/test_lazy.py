@@ -1,15 +1,20 @@
-"""Differential tests pinning the lazy reader to the eager decoder.
+"""Force-order tests of the lazy reader.
 
-The contract of :class:`~repro.bytecode.lazy.LazyModuleReader` is that
-forcing every handle yields *exactly* the module the eager decoder
-builds — same printed IR, same interned attribute identities, same
-locations — for every corpus dialect, for streamed artifacts, through a
-real mmap, and regardless of forcing order.
+Eager decoding forces every top-level op in order; the differential
+tests here force the same artifact's ops in a seeded random order
+through :class:`~repro.bytecode.lazy.LazyModuleReader` and require
+*exactly* the same module — same printed IR with locations, same
+interned attribute identities, the same bytes when re-encoded — for
+every corpus dialect, for streamed artifacts, and through a real mmap.
 """
 
 from __future__ import annotations
 
+import gc
 import io
+import random
+import sys
+import warnings
 
 import pytest
 
@@ -57,14 +62,34 @@ def corpus_ctx():
     return context, {d.name: d for d in defs}, seeds
 
 
-def assert_lazy_matches_eager(context, data, *, expect_lazy=True):
+def _interned(op):
+    """Every attribute and type of an op tree, in walk order."""
+    for inner in op.walk():
+        yield from inner.attributes.values()
+        yield from (value.type for value in inner.results)
+        for region in inner.regions:
+            for block in region.blocks:
+                yield from (arg.type for arg in block.args)
+
+
+def assert_lazy_matches_eager(context, data, *, expect_lazy=True, seed=0):
+    """Force ``data`` in order (eagerly) and in a seeded random order
+    (lazily); both must build the same module."""
     eager = decode_module(context, data)
     reader = LazyModuleReader(context, data)
     assert reader.lazy is expect_lazy
+    order = list(range(len(reader.handles)))
+    random.Random(seed).shuffle(order)
+    for index in order:
+        reader.handles[index].force()
     forced = reader.module()
     assert print_op(forced, print_locations=True) == print_op(
         eager, print_locations=True
     )
+    for original, copy in zip(_interned(eager), _interned(forced),
+                              strict=True):
+        assert copy is original
+    assert encode_module(forced) == encode_module(eager)
     return eager, forced
 
 
@@ -72,8 +97,19 @@ def assert_lazy_matches_eager(context, data, *, expect_lazy=True):
 def test_corpus_lazy_matches_eager(name, corpus_ctx):
     context, defs_by_name, seeds = corpus_ctx
     generator = IRGenerator(context, [defs_by_name[name], *seeds], seed=13)
-    module = generator.generate_module(6)
-    assert_lazy_matches_eager(context, encode_module(module))
+    data = encode_module(generator.generate_module(6))
+    eager, forced = assert_lazy_matches_eager(context, data, seed=len(name))
+    assert encode_module(forced) == data
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_streamed_synth_force_orders_agree(seed):
+    context = default_context()
+    stream = io.BytesIO()
+    encode_module_stream(
+        synthesize_module(60, seed=seed, context=context), stream
+    )
+    assert_lazy_matches_eager(context, stream.getvalue(), seed=seed)
 
 
 def test_locations_survive_lazy_loading():
@@ -87,8 +123,7 @@ def test_locations_survive_lazy_loading():
 def test_interned_attributes_are_identical():
     context = cmath_context()
     module = parse_module(context, LOCATED_IR)
-    reader = LazyModuleReader(context, encode_module(module))
-    forced = reader.module()
+    _, forced = assert_lazy_matches_eager(context, encode_module(module))
     for original, copy in zip(
         module.walk(), forced.walk(), strict=True
     ):
@@ -127,6 +162,27 @@ def test_mmap_open_from_file(tmp_path):
 def test_open_missing_file_raises_bytecode_error(tmp_path):
     with pytest.raises(BytecodeError):
         LazyModuleReader.open(cmath_context(), str(tmp_path / "nope.irbc"))
+
+
+def test_failed_open_closes_the_file(tmp_path):
+    """Opening a corrupt artifact must not leak the file or its map."""
+    context = default_context()
+    data = encode_module(synthesize_module(10, seed=1, context=context))
+    path = tmp_path / "truncated.irbc"
+    path.write_bytes(data[: len(data) // 2])
+    # An unclosed file warns from its finalizer, where the "error"
+    # filter turns the warning into an unraisable exception.
+    unraisable = []
+    hook, sys.unraisablehook = sys.unraisablehook, unraisable.append
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            with pytest.raises(BytecodeError):
+                LazyModuleReader.open(context, str(path))
+            gc.collect()
+    finally:
+        sys.unraisablehook = hook
+    assert not unraisable
 
 
 def test_out_of_order_forcing():
@@ -197,9 +253,67 @@ def test_closed_reader_refuses_to_force(tmp_path):
 
 
 def test_self_roundtrip_of_forced_module():
-    """Forcing then re-encoding reproduces the original artifact."""
+    """Forcing in any order then re-encoding reproduces the original
+    artifact, locations included."""
     context = cmath_context()
-    module = parse_module(context, LOCATED_IR, name="mag2.mlir")
-    data = encode_module(module)
-    forced = LazyModuleReader(context, data).module()
-    assert encode_module(forced) == data
+    text = "\n".join(
+        LOCATED_IR.replace('"mag2"', f'"mag{i}"') for i in range(5)
+    )
+    data = encode_module(parse_module(context, text, name="mags.mlir"))
+    for seed in range(3):
+        _, forced = assert_lazy_matches_eager(context, data, seed=seed)
+        assert encode_module(forced) == data
+        assert "mags.mlir" in print_op(forced, print_locations=True)
+
+
+def test_decode_ops_counts_every_materialized_op():
+    """Eager decodes and lazy forces both count the ops they build."""
+    from repro.obs import MetricsRegistry, enable_metrics, reset
+
+    context = cmath_context()
+    text = "\n".join(
+        LOCATED_IR.replace('"mag2"', f'"mag{i}"') for i in range(3)
+    )
+    data = encode_module(parse_module(context, text))
+    registry = enable_metrics(MetricsRegistry())
+    try:
+        module = decode_module(context, data)
+        eager = registry.snapshot()["counters"]["bytecode.decode.ops"]
+        reader = LazyModuleReader(context, data)
+        reader.handles[1].force()
+        reader.module()
+        counters = registry.snapshot()["counters"]
+    finally:
+        reset()
+    ops = sum(1 for _ in module.walk())
+    assert eager == ops
+    assert counters["bytecode.decode.ops"] == 2 * ops
+    assert counters["bytecode.lazy.ops_forced"] == 3
+
+
+MULTI_BLOCK_ROOT = """
+"test.root"() ({
+^bb0(%a: i32):
+  %x = "test.use"(%y) : (i32) -> (i32)
+  "test.br"(%x)[^bb1] : (i32) -> ()
+^bb1(%b: i32):
+  %y = "test.def"(%b) : (i32) -> (i32)
+  "test.ret"(%y) : (i32) -> ()
+}, {
+^bb0:
+  "test.z"() : () -> ()
+}) : () -> ()
+"""
+
+
+def test_multi_block_root_force_orders_agree():
+    """Top-level ops in several blocks and regions of the root, with
+    successors and a forward reference across them."""
+    context = default_context()
+    context.allow_unregistered = True
+    module = parse_module(context, MULTI_BLOCK_ROOT, name="root.mlir")
+    root = module.regions[0].blocks[0].ops[0].detach()
+    data = encode_module(root)
+    for seed in range(6):
+        _, forced = assert_lazy_matches_eager(context, data, seed=seed)
+        assert encode_module(forced) == data
