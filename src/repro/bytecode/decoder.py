@@ -61,6 +61,7 @@ from repro.bytecode.wire import (
 from repro.ir.attributes import Attribute, TypeAttribute
 from repro.ir.block import Block
 from repro.ir.context import Context
+from repro.ir.gcpause import BULK_BUILD
 from repro.ir.location import FileLineColLoc, FusedLoc, Location
 from repro.ir.operation import Operation
 from repro.ir.params import (
@@ -836,12 +837,15 @@ def decode_module(
 
     Ops bind to the definitions registered in ``context`` (or stay
     unbound if it allows unregistered constructs).  The op index goes
-    unread.  Any malformed input raises :class:`BytecodeError`.
+    unread.  Any malformed input raises :class:`BytecodeError`.  The
+    cyclic collector is paused while the module is built
+    (:data:`~repro.ir.gcpause.BULK_BUILD`).
     """
     import time
 
     start = time.perf_counter()
-    with OBS.tracer.span("bytecode.decode", category="bytecode"):
+    with OBS.tracer.span("bytecode.decode", category="bytecode"), \
+            BULK_BUILD.paused():
         root = _ModuleDecoder(context, data, name, use_index=False).root
     metrics = OBS.metrics
     if metrics.enabled:

@@ -28,9 +28,9 @@ class Block:
         arg_types: Sequence[Attribute] = (),
         ops: Iterable["Operation"] = (),
     ):
-        self.args: tuple[BlockArgument, ...] = tuple(
+        self.args: list[BlockArgument] = [
             BlockArgument(t, self, i) for i, t in enumerate(arg_types)
-        )
+        ]
         self.ops: list[Operation] = []
         self.parent: Region | None = None
         for op in ops:
@@ -41,23 +41,25 @@ class Block:
     # ------------------------------------------------------------------
 
     def insert_arg(self, arg_type: Attribute, index: int | None = None) -> BlockArgument:
-        """Add a block argument (at the end by default)."""
+        """Add a block argument (at the end by default).
+
+        Appending is O(1); inserting renumbers only the arguments after
+        ``index``.
+        """
+        args = self.args
         if index is None:
-            index = len(self.args)
-        args = list(self.args)
+            index = len(args)
         new_arg = BlockArgument(arg_type, self, index)
         args.insert(index, new_arg)
-        for i, arg in enumerate(args):
-            arg.index = i
-        self.args = tuple(args)
+        for i in range(index + 1, len(args)):
+            args[i].index = i
         return new_arg
 
     def erase_arg(self, arg: BlockArgument) -> None:
         arg.erase_check()
-        args = [a for a in self.args if a is not arg]
-        for i, a in enumerate(args):
+        self.args[:] = [a for a in self.args if a is not arg]
+        for i, a in enumerate(self.args):
             a.index = i
-        self.args = tuple(args)
 
     # ------------------------------------------------------------------
     # Operation list management

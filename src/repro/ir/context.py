@@ -128,12 +128,6 @@ class Context:
         """
         from repro.ir.operation import Operation
 
-        definition = self.get_op_def(name)
-        if definition is None and not self.allow_unregistered:
-            raise UnregisteredConstructError(
-                f"operation {name!r} is not registered "
-                f"(known dialects: {sorted(self.dialects)})"
-            )
         return Operation(
             name,
             operands=operands,
@@ -141,9 +135,24 @@ class Context:
             attributes=attributes,
             successors=successors,
             regions=regions,
-            definition=definition,
+            definition=self.resolve_op_def(name),
             location=location,
         )
+
+    def resolve_op_def(self, name: str) -> OpDefBinding | None:
+        """The definition operations named ``name`` bind to.
+
+        ``None`` for an unknown operation in a context that allows
+        unregistered constructs; otherwise an unknown name raises
+        :class:`UnregisteredConstructError`.
+        """
+        definition = self.get_op_def(name)
+        if definition is None and not self.allow_unregistered:
+            raise UnregisteredConstructError(
+                f"operation {name!r} is not registered "
+                f"(known dialects: {sorted(self.dialects)})"
+            )
+        return definition
 
     def make_type(self, qualified_name: str, parameters: Sequence[Any] = ()) -> Attribute:
         """Instantiate a registered type by name (uniqued)."""

@@ -59,7 +59,12 @@ from repro.irdl.constraints import (
     ConstraintContext,
     EqConstraint,
 )
-from repro.irdl.plan import CONSTRAINT_MEMO, ConstraintMemo, run_region_checks
+from repro.irdl.plan import (
+    CONSTRAINT_MEMO,
+    ConstraintMemo,
+    run_region_checks,
+    signature_of,
+)
 from repro.obs.instrument import OBS
 
 if TYPE_CHECKING:
@@ -231,6 +236,7 @@ def _emit_value_check(
     memoizable: bool,
     label: str,
     cctx_expr: str,
+    signature_memo: bool = False,
 ) -> None:
     """One constraint check over ``value_expr`` (a type or attribute)."""
     cname = em.bind(constraint)
@@ -244,15 +250,20 @@ def _emit_value_check(
         em.emit(indent + 1,
                 f"_slow({cname}, _v, op, {label!r}, _memo, _NOVARS)")
     else:
-        # Variable-dependent checks must run the interpretive constraint
-        # every time: their outcome reads/writes the per-run context.
+        # Variable-dependent checks run the interpretive constraint: their
+        # outcome reads/writes the per-run context.  Only a signature that
+        # passed them before (the definition's signature memo) skips them.
+        if signature_memo:
+            em.emit(indent, "if not _passed:")
+            indent += 1
         em.emit(indent,
                 f"_slow({cname}, {value_expr}, op, {label!r}, None, "
                 f"{cctx_expr})")
 
 
 def _emit_value_section(
-    em: _Emitter, vc, kind: str, seq: str, cctx_expr: str
+    em: _Emitter, vc, kind: str, seq: str, cctx_expr: str,
+    signature_memo: bool = False,
 ) -> None:
     """Segment matching + constraint checks for one operand/result list.
 
@@ -269,7 +280,7 @@ def _emit_value_section(
         for index, (arg_def, constraint, memoizable) in enumerate(vc.checks):
             label = f"{kind} {arg_def.name!r}"
             _emit_value_check(em, 1, f"{seq}[{index}].type", constraint,
-                              memoizable, label, cctx_expr)
+                              memoizable, label, cctx_expr, signature_memo)
     elif sp.variadic_count == 1:
         n_fixed = sp.n_fixed
         em.emit(1, f"_nvar = len({seq}) - {n_fixed}")
@@ -289,15 +300,18 @@ def _emit_value_section(
             if arg_def.is_variadic:
                 em.emit(1, f"for _item in {seq}[{cursor} : {cursor} + _nvar]:")
                 _emit_value_check(em, 2, "_item.type", constraint,
-                                  memoizable, label, cctx_expr)
+                                  memoizable, label, cctx_expr,
+                                  signature_memo)
                 seen_variadic = True
             elif not seen_variadic:
                 _emit_value_check(em, 1, f"{seq}[{cursor}].type", constraint,
-                                  memoizable, label, cctx_expr)
+                                  memoizable, label, cctx_expr,
+                                  signature_memo)
                 cursor += 1
             else:
                 _emit_value_check(em, 1, f"{seq}[{cursor} + _nvar].type",
-                                  constraint, memoizable, label, cctx_expr)
+                                  constraint, memoizable, label, cctx_expr,
+                                  signature_memo)
                 cursor += 1
     else:
         # Several variadic defs need the *_segment_sizes attribute; the
@@ -337,15 +351,21 @@ def _generate_op_verifier(
     em.emit(0, "def __irdl_verify(op):")
     em.emit(1, "operands = op.operands")
     em.emit(1, "results = op.results")
+    signature_memo = plan.signature_memo is not None
+    if signature_memo:
+        em.env["_signature_of"] = signature_of
+        em.env["_signatures"] = plan.signature_memo
+        em.emit(1, "_key = _signature_of(operands, results)")
+        em.emit(1, '_passed = _signatures.get("verify", _key) is not None')
     cctx_expr = "_NOVARS"
     if _needs_cctx(plan):
         em.emit(1, "cctx = _Cctx()")
         cctx_expr = "cctx"
 
     _emit_value_section(em, plan.operand_checks, "operand", "operands",
-                        cctx_expr)
+                        cctx_expr, signature_memo)
     _emit_value_section(em, plan.result_checks, "result", "results",
-                        cctx_expr)
+                        cctx_expr, signature_memo)
 
     if plan.attr_checks:
         em.emit(1, "_attrs = op.attributes")
@@ -381,6 +401,9 @@ def _generate_op_verifier(
         em.emit(1, f"for _code, _pred in {preds}:")
         em.emit(2, f"_run_pred(_pred, _code, op, {opdef})")
 
+    if signature_memo:
+        em.emit(1, "if not _passed:")
+        em.emit(2, '_signatures.put("verify", _key, True)')
     n_attrs = len(plan.attr_checks)
     em.emit(1, "_m = _OBS.metrics")
     em.emit(1, "if _m.enabled:")

@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.ir.attributes import Attribute
 from repro.ir.exceptions import VerifyError
+from repro.ir.operation import Operation
 from repro.irdl.ast import Variadicity
 from repro.irdl.constraints import (
     CannotInfer,
@@ -45,11 +46,11 @@ from repro.irdl.constraints import (
     VarConstraint,
 )
 from repro.irdl.defs import OpDef
-from repro.textir.lexer import PUNCTUATION, Token, TokenKind
+from repro.irdl.plan import SignatureMemo, signature_of
+from repro.textir.lexer import PUNCTUATION, TokenKind
 from repro.utils.diagnostics import DiagnosticError
 
 if TYPE_CHECKING:
-    from repro.ir.operation import Operation
     from repro.textir.parser import IRParser
     from repro.textir.printer import Printer
 
@@ -142,26 +143,29 @@ def _literal_parse_instr(text: str) -> tuple:
 class FormatProgram:
     """A compiled assembly format: a directive list plus inference plans."""
 
-    def __init__(self, op_def: OpDef, directives: list[Directive]):
+    def __init__(self, op_def: OpDef, directives: list[Directive],
+                 signature_memo: SignatureMemo | None = None):
         self.op_def = op_def
         self.directives = directives
+        #: The definition's signature memo (``None`` when it declares no
+        #: constraint variables): parsed variables → inferred types, and
+        #: operand/result types → variable bindings.
+        self.signature_memo = signature_memo
         #: Precompiled opcode programs (built after validation when
         #: definition-time codegen is enabled; ``None`` → interpretive).
         self._parse_ops: tuple[tuple, ...] | None = None
         self._print_ops: tuple[tuple, ...] | None = None
-        self._var_order: tuple[str, ...] = ()
-        self._var_param_order: tuple[str, ...] = ()
-        self._operand_infer: tuple[tuple[str, Constraint], ...] = ()
-        self._result_infer: tuple[tuple[str, Constraint], ...] = ()
 
     @classmethod
-    def compile(cls, op_def: OpDef) -> "FormatProgram":
+    def compile(
+        cls, op_def: OpDef, signature_memo: SignatureMemo | None = None
+    ) -> "FormatProgram":
         """Compile and validate ``op_def.format``."""
         from repro.irdl import codegen
 
         assert op_def.format is not None
         directives = _scan_directives(op_def)
-        program = cls(op_def, directives)
+        program = cls(op_def, directives, signature_memo)
         program._validate()
         if codegen.enabled():
             program._precompile()
@@ -172,16 +176,12 @@ class FormatProgram:
         """Lower the directive list into flat parse/print programs.
 
         Everything re-derived per operation by the interpretive loops is
-        resolved here once: literal token kinds, operand token slots,
-        print spacing (merged into literal runs), and the order in which
-        constraint variables are verified and types inferred.
+        resolved here once: literal token kinds, operand token slots and
+        print spacing (merged into literal runs).
         """
-        op_def = self.op_def
         parse_ops: list[tuple] = []
         print_ops: list[tuple] = []
         pending: list[str] = []
-        var_order: list[str] = []
-        var_param_order: list[str] = []
 
         def flush_text() -> None:
             if pending:
@@ -209,8 +209,6 @@ class FormatProgram:
             elif isinstance(directive, VarTypeDirective):
                 parse_ops.append((_P_VARTYPE, directive.var))
                 print_ops.append((_W_VARTYPE, directive.var))
-                if directive.var not in var_order:
-                    var_order.append(directive.var)
             else:
                 parse_ops.append(
                     (_P_VARPARAM, directive.var, directive.param_index)
@@ -218,20 +216,10 @@ class FormatProgram:
                 print_ops.append(
                     (_W_VARPARAM, directive.var, directive.param_index)
                 )
-                if directive.var not in var_param_order:
-                    var_param_order.append(directive.var)
         flush_text()
 
         self._parse_ops = tuple(parse_ops)
         self._print_ops = tuple(print_ops)
-        self._var_order = tuple(var_order)
-        self._var_param_order = tuple(var_param_order)
-        self._operand_infer = tuple(
-            (a.name, a.constraint) for a in op_def.operands
-        )
-        self._result_infer = tuple(
-            (a.name, a.constraint) for a in op_def.results
-        )
 
     # -- validation ----------------------------------------------------
 
@@ -298,8 +286,7 @@ class FormatProgram:
         """Parse the custom syntax following the operation name."""
         if self._parse_ops is None:
             return self._parse_interp(parser, definition)
-        op_def = self.op_def
-        tokens: list["Token" | None] = [None] * len(op_def.operands)
+        names: list[tuple[str, int]] = [("", 0)] * len(self.op_def.operands)
         attributes: dict[str, Attribute] = {}
         var_types: dict[str, Attribute] = {}
         var_params: dict[str, dict[int, Any]] = {}
@@ -311,9 +298,7 @@ class FormatProgram:
             elif code == _P_KEYWORD:
                 _expect_keyword(parser, instr[1])
             elif code == _P_OPERAND:
-                tokens[instr[1]] = parser.expect(
-                    TokenKind.PERCENT_IDENT, instr[2]
-                )
+                names[instr[1]] = parser.parse_ssa_name(instr[2])
             elif code == _P_ATTR:
                 attributes[instr[1]] = parser.parse_attribute()
             elif code == _P_VARTYPE:
@@ -322,38 +307,12 @@ class FormatProgram:
                 var_params.setdefault(instr[1], {})[
                     instr[2]
                 ] = parser.parse_param()
-
-        cctx = ConstraintContext()
-        constraint_vars = op_def.constraint_vars
-        for var in self._var_order:
-            constraint_vars[var].verify(var_types[var], cctx)
-        for var in self._var_param_order:
-            value = self._reconstruct(var, var_params[var], cctx)
-            constraint_vars[var].verify(value, cctx)
-
-        operand_types = [
-            _infer_type(constraint, cctx, name, op_def)
-            for name, constraint in self._operand_infer
-        ]
-        result_types = [
-            _infer_type(constraint, cctx, name, op_def)
-            for name, constraint in self._result_infer
-        ]
-        operands = [
-            parser.resolve_value(token.value, ty, token)
-            for token, ty in zip(tokens, operand_types)
-        ]
-        return parser.context.create_operation(
-            op_def.qualified_name,
-            operands=operands,
-            result_types=result_types,
-            attributes=attributes,
-        )
+        return self._build(parser, definition, names, attributes,
+                           var_types, var_params)
 
     def _parse_interp(self, parser: "IRParser", definition: Any) -> "Operation":
         """Reference directive interpreter (``--no-codegen`` path)."""
-        op_def = self.op_def
-        operand_tokens: dict[str, "Token"] = {}
+        operand_names: dict[str, tuple[str, int]] = {}
         attributes: dict[str, Attribute] = {}
         var_types: dict[str, Attribute] = {}
         var_params: dict[str, dict[int, Any]] = {}
@@ -362,8 +321,8 @@ class FormatProgram:
             if isinstance(directive, LiteralDirective):
                 _parse_literal(parser, directive.text)
             elif isinstance(directive, OperandDirective):
-                operand_tokens[directive.name] = parser.expect(
-                    TokenKind.PERCENT_IDENT, f"operand ${directive.name}"
+                operand_names[directive.name] = parser.parse_ssa_name(
+                    f"operand ${directive.name}"
                 )
             elif isinstance(directive, AttributeDirective):
                 attributes[directive.name] = parser.parse_attribute()
@@ -373,34 +332,68 @@ class FormatProgram:
                 var_params.setdefault(directive.var, {})[
                     directive.param_index
                 ] = parser.parse_param()
+        names = [operand_names[arg.name] for arg in self.op_def.operands]
+        return self._build(parser, definition, names, attributes,
+                           var_types, var_params)
 
+    def _build(
+        self,
+        parser: "IRParser",
+        definition: Any,
+        names: list[tuple[str, int]],
+        attributes: dict[str, Attribute],
+        var_types: dict[str, Attribute],
+        var_params: dict[str, dict[int, Any]],
+    ) -> "Operation":
+        """The operation a parse read: solve the constraint variables
+        (once per distinct signature), then resolve the operands."""
+        operand_types, result_types = self._solve(var_types, var_params)
+        operands = [
+            parser.resolve_value(name, ty, at)
+            for (name, at), ty in zip(names, operand_types)
+        ]
+        return Operation(
+            self.op_def.qualified_name,
+            operands=operands,
+            result_types=result_types,
+            attributes=attributes,
+            definition=definition,
+        )
+
+    def _solve(
+        self,
+        var_types: dict[str, Attribute],
+        var_params: dict[str, dict[int, Any]],
+    ) -> tuple[tuple[Attribute, ...], tuple[Attribute, ...]]:
+        """Operand and result types from the parsed constraint variables.
+
+        Variables are verified in the order the format first mentions
+        them; an unsolvable signature raises, and is never memoized.
+        """
+        memo = self.signature_memo
+        if memo is not None:
+            key = (tuple(var_types.values()),
+                   tuple(tuple(params.items())
+                         for params in var_params.values()))
+            found = memo.get("parse", key)
+            if found is not None:
+                return found
+        op_def = self.op_def
         cctx = ConstraintContext()
         for var, var_type in var_types.items():
             op_def.constraint_vars[var].verify(var_type, cctx)
         for var, params in var_params.items():
             value = self._reconstruct(var, params, cctx)
             op_def.constraint_vars[var].verify(value, cctx)
-
-        operand_types = [
-            _infer_type(arg.constraint, cctx, arg.name, op_def)
-            for arg in op_def.operands
-        ]
-        result_types = [
-            _infer_type(arg.constraint, cctx, arg.name, op_def)
-            for arg in op_def.results
-        ]
-        operands = [
-            parser.resolve_value(
-                operand_tokens[arg.name].value, ty, operand_tokens[arg.name]
-            )
-            for arg, ty in zip(op_def.operands, operand_types)
-        ]
-        return parser.context.create_operation(
-            op_def.qualified_name,
-            operands=operands,
-            result_types=result_types,
-            attributes=attributes,
+        solved = (
+            tuple(_infer_type(arg.constraint, cctx, arg.name, op_def)
+                  for arg in op_def.operands),
+            tuple(_infer_type(arg.constraint, cctx, arg.name, op_def)
+                  for arg in op_def.results),
         )
+        if memo is not None:
+            memo.put("parse", key, solved)
+        return solved
 
     def _reconstruct(
         self, var: str, params: dict[int, Any], cctx: ConstraintContext
@@ -427,8 +420,7 @@ class FormatProgram:
         if self._print_ops is None:
             self._print_interp(op, printer)
             return
-        cctx = self._bindings_for(op)
-        bindings = cctx.bindings
+        bindings = self._bindings_for(op)
         operands = op.operands
         for instr in self._print_ops:
             code = instr[0]
@@ -445,7 +437,7 @@ class FormatProgram:
 
     def _print_interp(self, op: "Operation", printer: "Printer") -> None:
         """Reference directive interpreter (``--no-codegen`` path)."""
-        cctx = self._bindings_for(op)
+        bindings = self._bindings_for(op)
         operand_index = {a.name: i for i, a in enumerate(self.op_def.operands)}
         for directive in self.directives:
             if isinstance(directive, LiteralDirective):
@@ -460,19 +452,31 @@ class FormatProgram:
             elif isinstance(directive, AttributeDirective):
                 printer.print_attribute(op.attributes[directive.name])
             elif isinstance(directive, VarTypeDirective):
-                printer.print_type(cctx.bindings[directive.var])
+                printer.print_type(bindings[directive.var])
             elif isinstance(directive, VarParamDirective):
-                bound = cctx.bindings[directive.var]
+                bound = bindings[directive.var]
                 printer.print_param(bound.parameters[directive.param_index])
 
-    def _bindings_for(self, op: "Operation") -> ConstraintContext:
-        """Recover constraint-variable bindings from a concrete operation."""
+    def _bindings_for(self, op: "Operation") -> dict[str, Any]:
+        """Recover constraint-variable bindings from a concrete operation.
+
+        Raises :class:`VerifyError` when the operand and result types
+        admit none; bindings are solved once per distinct signature.
+        """
+        memo = self.signature_memo
+        if memo is not None:
+            key = signature_of(op.operands, op.results)
+            found = memo.get("print", key)
+            if found is not None:
+                return found
         cctx = ConstraintContext()
         for arg, value in zip(self.op_def.operands, op.operands):
             arg.constraint.verify(value.type, cctx)
         for arg, result in zip(self.op_def.results, op.results):
             arg.constraint.verify(result.type, cctx)
-        return cctx
+        if memo is not None:
+            memo.put("print", key, cctx.bindings)
+        return cctx.bindings
 
 
 class TypeFormatProgram:

@@ -41,6 +41,7 @@ from repro.irdl.defs import DialectDef, OpDef, TypeDef
 from repro.irdl.format import FormatProgram
 from repro.irdl.irdl_py import AttrProxy, compile_predicate
 from repro.irdl.parser import parse_irdl
+from repro.irdl.plan import SignatureMemo
 from repro.irdl.resolver import Scope, resolve_dialect_body
 from repro.irdl.verifier import make_op_verifier
 from repro.obs import timing as _timing
@@ -137,17 +138,24 @@ class DynamicOpDef(OpDefBinding):
     """An operation binding generated from an IRDL definition."""
 
     def __init__(self, op_def: OpDef):
+        #: Solved constraint variables by signature, shared by the
+        #: format parser, the verifier and the format printer.
+        self.signature_memo = (
+            SignatureMemo() if op_def.constraint_vars else None
+        )
         super().__init__(
             op_def.qualified_name,
             summary=op_def.summary,
             is_terminator=op_def.is_terminator,
-            verifier=make_op_verifier(op_def),
+            verifier=make_op_verifier(op_def, self.signature_memo),
         )
         self.op_def = op_def
         self.location = op_def.location
         self.format_program: FormatProgram | None = None
         if op_def.format is not None:
-            self.format_program = FormatProgram.compile(op_def)
+            self.format_program = FormatProgram.compile(
+                op_def, self.signature_memo
+            )
 
     def has_custom_format(self) -> bool:
         return self.format_program is not None

@@ -34,10 +34,18 @@ Memoization is deliberately conservative:
 Cache effectiveness is observable via the ``irdl.verifier.memo_hits`` /
 ``irdl.verifier.memo_misses`` counters (mirrored into ``repro.obs``
 whenever metrics are enabled).
+
+Checks that *do* mention constraint variables are memoized one level up,
+per operation signature, by :class:`SignatureMemo`: one per operation
+definition that declares constraint variables, shared by the format
+parser, the verifier and the format printer (§4.6–4.7 derive the
+variable bindings from the definition; they only need solving once per
+distinct signature).
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -119,6 +127,79 @@ class ConstraintMemo:
 #: than one memo per plan) lets common constraints — ``!i32`` appears in
 #: hundreds of corpus definitions — warm up once.
 CONSTRAINT_MEMO = ConstraintMemo()
+
+
+#: Entries kept per use by one :class:`SignatureMemo`: far more than the
+#: distinct signatures real IR gives one operation (``cmath.norm`` has
+#: two), and a bound on what hostile input can make it hold.
+SIGNATURE_MEMO_SIZE = 256
+
+#: The three consumers of a signature memo.
+SIGNATURE_USES = ("parse", "verify", "print")
+
+_SIGNATURE_COUNTERS = {
+    use: (f"irdl.signature_memo.hits.{use}",
+          f"irdl.signature_memo.misses.{use}")
+    for use in SIGNATURE_USES
+}
+
+
+class SignatureMemo:
+    """Solved constraint variables of one operation definition, by signature.
+
+    Each use keeps its own bounded table:
+
+    * ``parse`` — the declarative format's parsed variable types and
+      parameters → the inferred ``(operand types, result types)``;
+    * ``verify`` — ``(operand types, result types)`` pairs whose
+      variable-dependent checks passed (see
+      :attr:`VerificationPlan.signature_memo` for when it is consulted);
+    * ``print`` — ``(operand types, result types)`` → the variable
+      bindings the format printer needs.
+
+    Only successes are stored, so every failure is solved afresh and
+    raises its full diagnostic.  Soundness rests on the invariants of
+    :class:`ConstraintMemo`: constraints are pure, and attributes are
+    interned and immutable, so equal keys are the same objects and the
+    stored result still holds for them.  Lookups are plain dictionary
+    reads; writes take a lock, so daemon worker threads sharing one
+    dialect binding can use the memo at once.  A full table drops its
+    oldest entry.
+    """
+
+    __slots__ = ("_tables", "_lock")
+
+    def __init__(self) -> None:
+        self._tables: dict[str, dict[tuple, Any]] = {
+            use: {} for use in SIGNATURE_USES
+        }
+        self._lock = threading.Lock()
+
+    def get(self, use: str, key: tuple) -> Any:
+        """The result stored for ``key``, or ``None``."""
+        found = self._tables[use].get(key)
+        metrics = OBS.metrics
+        if metrics.enabled:
+            hits, misses = _SIGNATURE_COUNTERS[use]
+            metrics.counter(misses if found is None else hits).inc()
+        return found
+
+    def put(self, use: str, key: tuple, result: Any) -> None:
+        """Store a successful ``result`` for ``key``."""
+        with self._lock:
+            table = self._tables[use]
+            if key not in table and len(table) >= SIGNATURE_MEMO_SIZE:
+                del table[next(iter(table))]
+            table[key] = result
+
+    def size(self, use: str) -> int:
+        return len(self._tables[use])
+
+
+def signature_of(operands: Sequence["SSAValue"],
+                 results: Sequence["SSAValue"]) -> tuple:
+    """The ``(operand types, result types)`` key of an operation."""
+    return (tuple([v.type for v in operands]), tuple([r.type for r in results]))
 
 
 def _is_variable_free(constraint: Constraint) -> bool:
@@ -284,12 +365,20 @@ class _ValueChecks:
         op: "Operation",
         cctx: ConstraintContext,
         memo: ConstraintMemo,
+        signature_passed: bool = False,
     ) -> None:
+        """Match segments and check each value.
+
+        With ``signature_passed`` the checks that mention constraint
+        variables are skipped: the op's signature passed them before.
+        """
         kind = self.plan.kind
         segments = self.plan.match(values, op)
         for (arg_def, constraint, memoizable), segment in zip(
             self.checks, segments
         ):
+            if signature_passed and not memoizable:
+                continue
             for value in segment:
                 try:
                     _checked_verify(
@@ -332,9 +421,12 @@ class VerificationPlan:
         "region_plans",
         "expected_successors",
         "predicates",
+        "signature_memo",
     )
 
-    def __init__(self, op_def: "OpDef"):
+    def __init__(
+        self, op_def: "OpDef", signature_memo: SignatureMemo | None = None
+    ):
         from repro.irdl.irdl_py import compile_op_predicate
 
         self.op_def = op_def
@@ -351,6 +443,21 @@ class VerificationPlan:
         self.predicates = tuple(
             (code, compile_op_predicate(code)) for code in op_def.py_constraints
         )
+        #: The definition's signature memo, when a passed signature
+        #: proves every variable-dependent check of an op that has it:
+        #: those checks all sit among the operands and results, whose
+        #: segments the signature determines (at most one variadic per
+        #: list), and no op-level predicate reads the bindings.
+        self.signature_memo = signature_memo if (
+            not self.predicates
+            and self.operand_checks.plan.variadic_count <= 1
+            and self.result_checks.plan.variadic_count <= 1
+            and all(m for _, _, m in self.attr_checks)
+            and all(m for plan in self.region_plans
+                    for _, _, m in plan.arg_checks.checks)
+            and not all(m for _, _, m in (*self.operand_checks.checks,
+                                          *self.result_checks.checks))
+        ) else None
 
     # ------------------------------------------------------------------
 
@@ -362,9 +469,14 @@ class VerificationPlan:
 
         if memo is None:
             memo = CONSTRAINT_MEMO
+        signatures = self.signature_memo
+        passed = False
+        if signatures is not None:
+            key = signature_of(op.operands, op.results)
+            passed = signatures.get("verify", key) is not None
         cctx = ConstraintContext()
-        self.operand_checks.run(op.operands, op, cctx, memo)
-        self.result_checks.run(op.results, op, cctx, memo)
+        self.operand_checks.run(op.operands, op, cctx, memo, passed)
+        self.result_checks.run(op.results, op, cctx, memo, passed)
         self._run_attr_checks(op, cctx, memo)
         self._run_region_checks(op, cctx, memo)
         if len(op.successors) != self.expected_successors:
@@ -375,6 +487,8 @@ class VerificationPlan:
             )
         for code, predicate in self.predicates:
             run_op_predicate(predicate, code, op, self.op_def)
+        if signatures is not None and not passed:
+            signatures.put("verify", key, True)
 
     def _run_attr_checks(
         self, op: "Operation", cctx: ConstraintContext, memo: ConstraintMemo

@@ -31,7 +31,12 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.ir.exceptions import VerifyError
 from repro.irdl.defs import ArgDef, OpDef
-from repro.irdl.plan import CONSTRAINT_MEMO, SegmentPlan, VerificationPlan
+from repro.irdl.plan import (
+    CONSTRAINT_MEMO,
+    SegmentPlan,
+    SignatureMemo,
+    VerificationPlan,
+)
 from repro.obs.instrument import OBS
 
 if TYPE_CHECKING:
@@ -65,7 +70,9 @@ def match_segments(
     return SegmentPlan(defs, kind).match(values, op)
 
 
-def make_op_verifier(op_def: OpDef) -> Callable[["Operation"], None]:
+def make_op_verifier(
+    op_def: OpDef, signature_memo: SignatureMemo | None = None
+) -> Callable[["Operation"], None]:
     """Compile one operation definition into its verification function.
 
     All definition-side analysis (variadic layout, attribute tables,
@@ -77,11 +84,12 @@ def make_op_verifier(op_def: OpDef) -> Callable[["Operation"], None]:
     (``REPRO_NO_CODEGEN=1`` / ``irdl-opt --no-codegen``) and is kept for
     introspection either way as ``verify.plan``.  The emitted source, if
     any, is exposed as ``verify.generated_source``
-    (``irdl-opt --dump-generated``).
+    (``irdl-opt --dump-generated``).  Both paths consult the
+    definition's ``signature_memo`` in the plan, when it has one.
     """
     from repro.irdl import codegen
 
-    plan = VerificationPlan(op_def)
+    plan = VerificationPlan(op_def, signature_memo)
     generated_source: str | None = None
     impl: Callable[["Operation"], None] = plan.run
     if codegen.enabled():

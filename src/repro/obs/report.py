@@ -40,6 +40,18 @@ INSTRUMENT_CATALOG: dict[str, str] = {
     "irdl.verifier.constraint_checks": "constraint predicate evaluations",
     "irdl.verifier.memo_hits": "constraint memo hits",
     "irdl.verifier.memo_misses": "constraint memo misses",
+    "irdl.signature_memo.hits.parse": "custom-format parses that reused "
+    "the inferred types of an already-solved signature",
+    "irdl.signature_memo.misses.parse": "custom-format parses that "
+    "solved their constraint variables",
+    "irdl.signature_memo.hits.verify": "verifies that skipped the "
+    "variable-dependent checks of an already-passed signature",
+    "irdl.signature_memo.misses.verify": "verifies that ran the "
+    "variable-dependent checks of their signature",
+    "irdl.signature_memo.hits.print": "custom-format binding lookups "
+    "(pre-flight and print) answered for an already-solved signature",
+    "irdl.signature_memo.misses.print": "custom-format binding lookups "
+    "that solved their constraint variables",
     "irdl.codegen.definitions_compiled": "definitions lowered to "
     "generated Python verifiers",
     "irdl.codegen.formats_compiled": "declarative formats precompiled "

@@ -17,8 +17,8 @@ character.  Matches land in fixed-size chunks of parallel
 kind/start/end lists (:data:`CHUNK_TOKENS`), never in whole-file lists,
 so memory stays flat however large the input.  :class:`Token` objects
 (and their :class:`~repro.utils.source.Span`) are only built when asked
-for: by :meth:`Lexer.tokenize`, for diagnostics, and by parsers that
-keep a token (SSA names, operation locations).
+for: by :meth:`Lexer.tokenize`, for diagnostics (rebuilt from an offset
+by :meth:`TokenStream.token_at`), and by parser paths that keep a token.
 
 Malformed input lexes as an error entry that ends its chunk; the
 diagnostic is raised only when the cursor reaches that offset, so a
@@ -29,6 +29,7 @@ messages and spans are pinned by ``tests/textir/golden``.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from enum import Enum, auto
 from itertools import islice
 from typing import Iterator
@@ -365,6 +366,16 @@ class TokenStream:
         """Tokens before the current one (at EOF: every token)."""
         return self._base + self._i
 
+    def skip_to(self, offset: int) -> None:
+        """Move to the first token that starts at or after ``offset``."""
+        i = bisect_left(self._starts, offset, self._i)
+        if i < self._n:
+            self._i = i
+            self.kind = self._kinds[i]
+            return
+        while self._starts[self._i] < offset:
+            self.advance()
+
     def peek_kind(self, offset: int = 1) -> TokenKind:
         """The kind of the token ``offset`` places ahead."""
         index = self._i + offset
@@ -426,6 +437,15 @@ class TokenStream:
 
     def at_end(self) -> bool:
         return self.kind is _EOF
+
+    def token_at(self, offset: int) -> Token:
+        """The token that starts at ``offset``, rebuilt from the source.
+
+        For diagnostics about a token the parser kept only as an offset.
+        """
+        match = _MASTER_RE.match(self._text, offset)
+        return Token(_KIND_OF_GROUP[match.lastindex], match.group(), offset,
+                     match.end(), self.source)
 
     # -- diagnostics and nesting -------------------------------------------
 

@@ -16,10 +16,12 @@ and attributes (through the context registry, so IRDL-instantiated
 dialects parse with no extra code), and nested regions.
 
 It reads tokens through the shared :class:`~repro.textir.lexer.TokenStream`
-cursor.  Within one parse, builtin types and bracket-free dialect types
-and attributes are memoized on their exact source text: the same text
-always parses to the same interned object, so a hit skips the tokens
-and returns it.
+cursor.  Within one parse, builtin types, bracket-free dialect types
+and attributes, and a generic op's ``(...) -> (...)`` signature (keyed
+on the rest of its line) are memoized on their exact source text: the
+same text always parses to the same interned object, so a hit skips
+the tokens and returns it.  Operation names are resolved to their
+definitions once per name, and operations are built directly.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ from repro.builtin import types as btypes
 from repro.ir.attributes import Attribute
 from repro.ir.block import Block
 from repro.ir.context import Context
+from repro.ir.dialect import OpDefBinding
 from repro.ir.exceptions import UnregisteredConstructError, VerifyError
+from repro.ir.gcpause import BULK_BUILD
 from repro.ir.location import (
     UNKNOWN_LOC,
     FileLineColLoc,
@@ -56,7 +60,9 @@ from repro.ir.uniquer import intern as intern_attr
 from repro.ir.value import SSAValue
 from repro.obs import timing as _timing
 from repro.obs.instrument import OBS, count_ops
-from repro.textir.lexer import Token, TokenKind, TokenStream
+from repro.textir.lexer import MAX_NESTING, Token, TokenKind, TokenStream
+from repro.utils.diagnostics import DiagnosticError
+from repro.utils.escapes import unescape
 from repro.utils.source import SourceFile
 
 _INT_TYPE_RE = re.compile(r"^(i|si|ui)([0-9]+)$")
@@ -67,6 +73,9 @@ _PARAM_INT_RE = re.compile(r"^(u?)int(8|16|32|64)_t$")
 # mechanism shaped types like ``tensor<4x?xf32>`` rely on).
 _HEX_FLOAT_BITS_RE = re.compile(r"^x[0-9A-Fa-f]{1,16}$")
 _SHAPED = ("tensor", "vector", "memref")
+#: The longest line rest tried as a function-type memo key; a bound on
+#: the text sliced per generic op however long its line is.
+_SIGNATURE_KEY_MAX = 1024
 _SIGNEDNESS = {
     "i": btypes.Signedness.SIGNLESS,
     "si": btypes.Signedness.SIGNED,
@@ -124,22 +133,47 @@ class IRParser(TokenStream):
         self._block_scopes: list[dict[str, Block]] = []
         #: Parsed types and attributes by their exact source text.
         self._memo: dict[str, Attribute] = {}
+        #: Operation name and definition by the name's lexeme (quoted for
+        #: the generic form), resolved once per name per parse.
+        self._op_defs: dict[str, tuple[str, OpDefBinding | None]] = {}
 
     # ------------------------------------------------------------------
     # SSA value scope
     # ------------------------------------------------------------------
 
+    def parse_ssa_name(self, what: str) -> tuple[str, int]:
+        """Consume a ``%name``: its name without the sigil, and its offset.
+
+        The offset stands in for the token; :meth:`error_at` rebuilds
+        the token only for a diagnostic.
+        """
+        if self.kind is not _PERCENT:
+            raise self._expected(what)
+        i = self._i
+        start = self._starts[i]
+        name = self._text[start + 1:self._ends[i]]
+        self.advance()
+        return name, start
+
+    def error_at(self, message: str, at: int | None) -> DiagnosticError:
+        """A diagnostic at the token starting at offset ``at``, or at the
+        current token."""
+        return self.error(message, None if at is None else self.token_at(at))
+
     def resolve_value(self, name: str, value_type: Attribute,
-                      token: Token | None = None) -> SSAValue:
-        """Resolve an operand reference, creating a placeholder if needed."""
+                      at: int | None = None) -> SSAValue:
+        """Resolve an operand reference, creating a placeholder if needed.
+
+        ``at`` is the offset of the reference, for diagnostics.
+        """
         for scope in reversed(self._value_scopes):
             existing = scope.get(name)
             if existing is not None:
                 if existing.type != value_type:
-                    raise self.error(
+                    raise self.error_at(
                         f"operand %{name} has type {existing.type} but is "
                         f"used with type {value_type}",
-                        token,
+                        at,
                     )
                 return existing
         placeholder = _PlaceholderValue(value_type, name)
@@ -147,10 +181,10 @@ class IRParser(TokenStream):
         return placeholder
 
     def define_value(self, name: str, value: SSAValue,
-                     token: Token | None = None) -> None:
+                     at: int | None = None) -> None:
         scope = self._value_scopes[-1]
         if name in scope:
-            raise self.error(f"SSA value %{name} is defined twice", token)
+            raise self.error_at(f"SSA value %{name} is defined twice", at)
         value.name_hint = name
         scope[name] = value
         pending = self._pending_scopes[-1]
@@ -158,10 +192,10 @@ class IRParser(TokenStream):
             return
         for placeholder in pending.pop(name):
             if placeholder.type != value.type:
-                raise self.error(
+                raise self.error_at(
                     f"%{name} was forward-referenced with type "
                     f"{placeholder.type} but is defined with type {value.type}",
-                    token,
+                    at,
                 )
             placeholder.replace_all_uses_with(value)
 
@@ -204,15 +238,39 @@ class IRParser(TokenStream):
             return None
         return text[start:end]
 
+    def _signature_key(self) -> str | None:
+        """The rest of the line from the current token, if it ends on a
+        ``)`` within :data:`_SIGNATURE_KEY_MAX` characters: the memo key
+        of a function type that may span exactly it (a generic op's
+        ``(...) -> (...)`` does).
+        """
+        start = self._starts[self._i]
+        text = self._text
+        limit = start + _SIGNATURE_KEY_MAX
+        end = text.find("\n", start, limit)
+        if end < 0:
+            if limit < len(text):
+                return None
+            end = len(text)
+        key = text[start:end].rstrip()
+        return key if key.endswith(")") else None
+
     def _memo_hit(self, key: str | None) -> Attribute | None:
-        """The memoized parse of ``key``, skipping its tokens on a hit."""
+        """The memoized parse of ``key``, skipping its tokens on a hit.
+
+        A hit that could have nested past :data:`MAX_NESTING` here (each
+        level opens a bracket) is parsed instead, so the limit's
+        diagnostic is the same with or without the memo.
+        """
         if key is None:
             return None
         cached = self._memo.get(key)
         if cached is not None:
-            offset = self._starts[self._i] + len(key)
-            while self._starts[self._i] < offset:
-                self.advance()
+            depth = self.depth
+            if (depth + len(key) > MAX_NESTING
+                    and depth + sum(map(key.count, "(<[{")) > MAX_NESTING):
+                return None
+            self.skip_to(self._starts[self._i] + len(key))
         return cached
 
     def _memo_store(self, key: str | None, start: int, result: Attribute) -> None:
@@ -339,11 +397,23 @@ class IRParser(TokenStream):
 
     def _parse_function_type(self) -> Attribute:
         self.enter()
+        result = self._parse_signature()
+        self.leave()
+        return result
+
+    def _parse_signature(self) -> Attribute:
+        """``(inputs) -> results``, memoized on the rest of its line."""
+        key = self._signature_key()
+        cached = self._memo_hit(key)
+        if cached is not None:
+            return cached
+        start = self._starts[self._i]
         inputs = self._parse_type_list()
         self.consume(_ARROW, "'->'")
         results = self._parse_type_or_type_list()
-        self.leave()
-        return btypes.FunctionType.get(inputs, results)
+        result = btypes.FunctionType.get(inputs, results)
+        self._memo_store(key, start, result)
+        return result
 
     def _parse_type_list(self) -> list[Attribute]:
         """A parenthesized, comma-separated list of types."""
@@ -680,30 +750,31 @@ class IRParser(TokenStream):
     # ------------------------------------------------------------------
 
     def parse_operation(self) -> Operation:
-        result_tokens: list[Token] = []
+        # The op header is read without Token objects: names and the op
+        # name's position are kept as (text, offset) pairs, and a Token
+        # is rebuilt only for a diagnostic.
+        names: list[tuple[str, int]] = []
         if self.kind is _PERCENT:
-            result_tokens.append(self.next())
+            names.append(self.parse_ssa_name("result name"))
             while self.accept(_COMMA):
-                result_tokens.append(self.expect(_PERCENT, "result name"))
+                names.append(self.parse_ssa_name("result name"))
             self.consume(_EQUAL, "'='")
-        token = self.peek()
-        if token.kind is _STRING:
-            self.advance()
-            op = self._parse_generic_operation(token)
-        elif token.kind is _BARE:
+        kind = self.kind
+        at = self._starts[self._i]
+        if kind is _STRING:
+            op = self._parse_generic_operation(at)
+        elif kind is _BARE:
             op = self._parse_custom_operation()
         else:
-            raise self.error(
-                f"expected an operation, found {token.text!r}", token
-            )
-        if len(result_tokens) != len(op.results):
-            raise self.error(
+            raise self.error(f"expected an operation, found {self.text!r}")
+        if len(names) != len(op.results):
+            raise self.error_at(
                 f"operation {op.name} produced {len(op.results)} results but "
-                f"{len(result_tokens)} names were bound",
-                token,
+                f"{len(names)} names were bound",
+                at,
             )
-        for name_token, result in zip(result_tokens, op.results):
-            self.define_value(name_token.text[1:], result, name_token)
+        for (name, name_at), result in zip(names, op.results):
+            self.define_value(name, result, name_at)
         # Provenance: an explicit trailing ``loc(...)`` wins (so printed
         # IR round-trips); otherwise the op is attributed to the start
         # of its name token in this source file.
@@ -714,8 +785,7 @@ class IRParser(TokenStream):
             self.consume(_RPAREN, "')'")
         elif op.location.is_unknown:
             source = self.source
-            op.location = FileLineColLoc(source.name,
-                                         *source.line_col(token.start))
+            op.location = FileLineColLoc(source.name, *source.line_col(at))
         return op
 
     def _parse_location_value(self) -> Location:
@@ -737,8 +807,10 @@ class IRParser(TokenStream):
             return FileLineColLoc(*self._parse_file_line_col())
         raise self.error(f"expected a location, found {self.text!r}")
 
-    def _parse_generic_operation(self, name_token: Token) -> Operation:
-        operand_tokens = self._parse_operand_name_list()
+    def _parse_generic_operation(self, at: int) -> Operation:
+        lexeme = self.text
+        self.advance()
+        operand_names = self._parse_operand_name_list()
         successors = self._parse_successor_list()
         regions: list[Region] = []
         if self.kind is _LPAREN:
@@ -752,58 +824,59 @@ class IRParser(TokenStream):
             attr_dict = self._parse_dictionary_attribute()
             attributes = attr_dict.entries  # type: ignore[union-attr]
         self.consume(_COLON, "':' before the operation type")
-        operand_types = self._parse_type_list()
-        self.consume(_ARROW, "'->'")
-        result_types = self._parse_type_or_type_list()
-        if len(operand_tokens) != len(operand_types):
-            raise self.error(
-                f"operation has {len(operand_tokens)} operands but "
+        signature = self._parse_signature()
+        operand_types = signature.inputs
+        if len(operand_names) != len(operand_types):
+            raise self.error_at(
+                f"operation has {len(operand_names)} operands but "
                 f"{len(operand_types)} operand types",
-                name_token,
+                at,
             )
         operands = [
-            self.resolve_value(tok.text[1:], ty, tok)
-            for tok, ty in zip(operand_tokens, operand_types)
+            self.resolve_value(name, ty, name_at)
+            for (name, name_at), ty in zip(operand_names, operand_types)
         ]
-        try:
-            return self.context.create_operation(
-                name_token.value,
-                operands=operands,
-                result_types=result_types,
-                attributes=attributes,
-                successors=successors,
-                regions=regions,
-            )
-        except UnregisteredConstructError as err:
-            raise self.error(str(err), name_token) from err
+        resolved = self._op_defs.get(lexeme)
+        if resolved is None:
+            name = unescape(lexeme[1:-1])
+            try:
+                definition = self.context.resolve_op_def(name)
+            except UnregisteredConstructError as err:
+                raise self.error_at(str(err), at) from err
+            resolved = self._op_defs[lexeme] = (name, definition)
+        return Operation(resolved[0], operands, signature.result_types,
+                         attributes, successors, regions, resolved[1])
 
     def _parse_custom_operation(self) -> Operation:
         parts = [self.expect_text(_BARE, "operation name")]
-        start_token = self.peek()
+        at = self._starts[self._i]
         while self.kind is _DOT:
             self.advance()
             parts.append(self.expect_text(_BARE, "operation name"))
         op_name = ".".join(parts)
-        definition = self.context.get_op_def(op_name)
-        if definition is None:
-            raise self.error(f"unknown operation {op_name!r}", start_token)
-        if not definition.has_custom_format():
-            raise self.error(
-                f"operation {op_name!r} has no custom assembly format; "
-                "use the generic form",
-                start_token,
-            )
-        return definition.parse_custom(self)
+        resolved = self._op_defs.get(op_name)
+        if resolved is None:
+            definition = self.context.get_op_def(op_name)
+            if definition is None:
+                raise self.error_at(f"unknown operation {op_name!r}", at)
+            if not definition.has_custom_format():
+                raise self.error_at(
+                    f"operation {op_name!r} has no custom assembly format; "
+                    "use the generic form",
+                    at,
+                )
+            resolved = self._op_defs[op_name] = (op_name, definition)
+        return resolved[1].parse_custom(self)
 
-    def _parse_operand_name_list(self) -> list[Token]:
+    def _parse_operand_name_list(self) -> list[tuple[str, int]]:
         self.consume(_LPAREN, "'('")
-        tokens: list[Token] = []
+        names: list[tuple[str, int]] = []
         if self.kind is not _RPAREN:
-            tokens.append(self.expect(_PERCENT, "operand"))
+            names.append(self.parse_ssa_name("operand"))
             while self.accept(_COMMA):
-                tokens.append(self.expect(_PERCENT, "operand"))
+                names.append(self.parse_ssa_name("operand"))
         self.consume(_RPAREN, "')'")
-        return tokens
+        return names
 
     def _parse_successor_list(self) -> list[Block]:
         successors: list[Block] = []
@@ -857,10 +930,10 @@ class IRParser(TokenStream):
                 defined.add(label.value)
                 if self.accept(_LPAREN):
                     while self.kind is _PERCENT:
-                        arg_token = self.next()
+                        name, at = self.parse_ssa_name("block argument")
                         self.consume(_COLON, "':'")
                         arg = block.insert_arg(self.parse_type())
-                        self.define_value(arg_token.text[1:], arg, arg_token)
+                        self.define_value(name, arg, at)
                         if not self.accept(_COMMA):
                             break
                     self.consume(_RPAREN, "')'")
@@ -911,11 +984,17 @@ class IRParser(TokenStream):
 
 
 def parse_module(context: Context, text: str, name: str = "<input>") -> Operation:
-    """Parse textual IR into a ``builtin.module`` operation."""
+    """Parse textual IR into a ``builtin.module`` operation.
+
+    The cyclic collector is paused while the module is built
+    (:data:`~repro.ir.gcpause.BULK_BUILD`).
+    """
     if not OBS.active:
-        return IRParser(context, text, name).parse_module()
+        with BULK_BUILD.paused():
+            return IRParser(context, text, name).parse_module()
     start = _timing.now()
-    with OBS.tracer.span("textir.parse", category="textir", file=name):
+    with OBS.tracer.span("textir.parse", category="textir", file=name), \
+            BULK_BUILD.paused():
         parser = IRParser(context, text, name)
         module = parser.parse_module()
     metrics = OBS.metrics

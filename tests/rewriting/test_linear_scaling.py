@@ -1,7 +1,8 @@
 """Linear scaling of IR cleanup and the queries it leans on.
 
 CSE, DCE, ``verify_dominance`` and ``SSAValue.users()`` are timed at n
-and 10n (best of three) on seeded synth blocks and on fan-out values.
+and 10n (best of three) on seeded synth blocks and on fan-out values,
+and so is parsing a block header with n arguments.
 Linear work grows ~10x; a per-op scan of the block or of the use list
 grows ~100x.  The asserted bound of 30x sits between the two, and as a
 ratio measured within one run it does not depend on the host's speed.
@@ -20,11 +21,13 @@ from repro.corpus.synth import synthesize_module
 from repro.ir import Block, Operation
 from repro.ir.dominance import verify_dominance
 from repro.rewriting import CommonSubexpressionElimination, DeadCodeElimination
+from repro.textir import parse_module
 
 #: The smaller sizes (ops of a synth block, uses of a fan-out value);
 #: every measurement compares one with 10x as much.
 BLOCK_OPS = 2000
 FAN_OUT = 1000
+BLOCK_ARGS = 2000
 MAX_RATIO = 30
 
 
@@ -65,6 +68,13 @@ def fan_out(size: int):
     return value
 
 
+def block_header(size: int) -> str:
+    """An op whose region's one block takes ``size`` arguments."""
+    args = ", ".join(f"%a{i}: i32" for i in range(size))
+    return ('"test.op"() ({\n^bb0(' + args + '):\n'
+            '  "test.end"() : () -> ()\n}) : () -> ()\n')
+
+
 def drain(iterator) -> None:
     for _ in iterator:
         pass
@@ -81,3 +91,9 @@ def test_block_passes_scale_linearly(measure):
 
 def test_users_scale_linearly():
     assert_linear(fan_out, lambda value: drain(value.users()), FAN_OUT)
+
+
+def test_block_argument_parsing_scales_linearly():
+    context = default_context(allow_unregistered=True)
+    assert_linear(block_header, lambda text: parse_module(context, text),
+                  BLOCK_ARGS)

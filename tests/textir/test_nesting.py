@@ -83,3 +83,19 @@ def test_depth_returns_to_zero():
     assert parser.depth == 0
     parser.parse_attribute()
     assert parser.depth == 0
+
+
+def test_memoized_signature_still_bounded():
+    """A signature parsed at the top level is memoized on its text; the
+    same text nested past the limit is still a diagnostic."""
+    levels = MAX_NESTING - 18
+    nested_type = "(" * levels + ") -> ()" * levels
+    line = '%r = "builtin.module"() : () -> (' + nested_type + ")\n"
+    regions = 30
+    text = (line + '"builtin.module"() ({\n' * regions + line
+            + "}) : () -> ()\n" * regions)
+    with pytest.raises(DiagnosticError) as info:
+        parse_module(CTX, text)
+    assert info.value.diagnostics[0].message == LIMIT_MESSAGE
+    # Each copy on its own parses: the limit, not the memo, rejects it.
+    parse_module(CTX, line)
