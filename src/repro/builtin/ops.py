@@ -25,9 +25,15 @@ if TYPE_CHECKING:
     from repro.ir.operation import Operation
 
 
+def _fail(message: str, op: "Operation") -> None:
+    raise VerifyError(f"{op.name}: {message}", obj=op)
+
+
 def _expect(condition: bool, message: str, op: "Operation") -> None:
+    # Messages that format IR objects are built only on failure: call
+    # _fail behind the check instead of passing an f-string here.
     if not condition:
-        raise VerifyError(f"{op.name}: {message}", obj=op)
+        _fail(message, op)
 
 
 # ---------------------------------------------------------------------------
@@ -75,19 +81,19 @@ def _verify_func(op: "Operation") -> None:
     entry = body.entry_block
     if entry is None:
         return  # external function declaration
-    _expect(
-        len(entry.args) == len(fn_type.inputs),
-        f"entry block has {len(entry.args)} arguments but the signature "
-        f"has {len(fn_type.inputs)} inputs",
-        op,
-    )
-    for arg, expected in zip(entry.args, fn_type.inputs):
-        _expect(
-            arg.type == expected,
-            f"entry argument type {arg.type} differs from signature type "
-            f"{expected}",
+    if len(entry.args) != len(fn_type.inputs):
+        _fail(
+            f"entry block has {len(entry.args)} arguments but the signature "
+            f"has {len(fn_type.inputs)} inputs",
             op,
         )
+    for arg, expected in zip(entry.args, fn_type.inputs):
+        if arg.type != expected:
+            _fail(
+                f"entry argument type {arg.type} differs from signature "
+                f"type {expected}",
+                op,
+            )
 
 
 def _verify_return(op: "Operation") -> None:
@@ -99,19 +105,19 @@ def _verify_return(op: "Operation") -> None:
     if fn_type is None:
         return
     expected = fn_type.result_types
-    _expect(
-        len(op.operands) == len(expected),
-        f"returns {len(op.operands)} values but the enclosing function "
-        f"expects {len(expected)}",
-        op,
-    )
-    for operand, result_type in zip(op.operands, expected):
-        _expect(
-            operand.type == result_type,
-            f"return operand type {operand.type} differs from function "
-            f"result type {result_type}",
+    if len(op.operands) != len(expected):
+        _fail(
+            f"returns {len(op.operands)} values but the enclosing function "
+            f"expects {len(expected)}",
             op,
         )
+    for operand, result_type in zip(op.operands, expected):
+        if operand.type != result_type:
+            _fail(
+                f"return operand type {operand.type} differs from function "
+                f"result type {result_type}",
+                op,
+            )
 
 
 def _verify_call(op: "Operation") -> None:
@@ -127,9 +133,10 @@ def _verify_constant(op: "Operation") -> None:
     _expect(len(op.results) == 1, "expects one result", op)
     value = op.attributes.get("value")
     _expect(value is not None, "expects a value attribute", op)
-    if isinstance(value, (IntegerAttr, FloatAttr)):
-        _expect(
-            value.type == op.results[0].type,
+    if isinstance(value, (IntegerAttr, FloatAttr)) and (
+        value.type != op.results[0].type
+    ):
+        _fail(
             f"constant value type {value.type} differs from result type "
             f"{op.results[0].type}",
             op,
@@ -137,6 +144,8 @@ def _verify_constant(op: "Operation") -> None:
 
 
 def _make_binary_verifier(type_check, type_desc: str):
+    message = f"operands must be {type_desc}"
+
     def verify(op: "Operation") -> None:
         _expect(len(op.operands) == 2, "expects two operands", op)
         _expect(len(op.results) == 1, "expects one result", op)
@@ -145,7 +154,7 @@ def _make_binary_verifier(type_check, type_desc: str):
         res = op.results[0]
         _expect(lhs.type == rhs.type, "operand types must match", op)
         _expect(lhs.type == res.type, "operand and result types must match", op)
-        _expect(type_check(lhs.type), f"operands must be {type_desc}", op)
+        _expect(type_check(lhs.type), message, op)
 
     return verify
 
@@ -158,6 +167,7 @@ _verify_float_binary = _make_binary_verifier(
 )
 
 CMPI_PREDICATES = ("eq", "ne", "slt", "sle", "sgt", "sge", "ult", "ule", "ugt", "uge")
+_CMPI_MESSAGE = f"predicate must be one of {CMPI_PREDICATES}"
 
 
 def _verify_cmpi(op: "Operation") -> None:
@@ -168,7 +178,7 @@ def _verify_cmpi(op: "Operation") -> None:
     predicate = op.attributes.get("predicate")
     _expect(
         isinstance(predicate, StringAttr) and predicate.data in CMPI_PREDICATES,
-        f"predicate must be one of {CMPI_PREDICATES}",
+        _CMPI_MESSAGE,
         op,
     )
 
@@ -179,18 +189,18 @@ def _verify_cmpi(op: "Operation") -> None:
 
 def _check_successor_args(op: "Operation", successor_index: int, values) -> None:
     successor = op.successors[successor_index]
-    _expect(
-        len(values) == len(successor.args),
-        f"successor #{successor_index} expects {len(successor.args)} "
-        f"arguments, got {len(values)}",
-        op,
-    )
-    for value, arg in zip(values, successor.args):
-        _expect(
-            value.type == arg.type,
-            f"block argument type mismatch: {value.type} vs {arg.type}",
+    if len(values) != len(successor.args):
+        _fail(
+            f"successor #{successor_index} expects {len(successor.args)} "
+            f"arguments, got {len(values)}",
             op,
         )
+    for value, arg in zip(values, successor.args):
+        if value.type != arg.type:
+            _fail(
+                f"block argument type mismatch: {value.type} vs {arg.type}",
+                op,
+            )
 
 
 def _verify_br(op: "Operation") -> None:

@@ -24,6 +24,8 @@ operands are just varint indices into that numbering.
 
 from __future__ import annotations
 
+import sys
+import time
 from typing import Sequence
 
 from repro.builtin.attributes import (
@@ -52,14 +54,12 @@ from repro.bytecode.wire import (
     KIND_MODULE,
     MAGIC,
     BytecodeError,
-    FileWriter,
     Writer,
     padded_varint_bytes,
     varint_bytes,
-    varint_len,
 )
 from repro.ir.attributes import Attribute, DynamicParametrizedAttribute
-from repro.ir.location import FileLineColLoc, FusedLoc, Location
+from repro.ir.location import UNKNOWN_LOC, FileLineColLoc, FusedLoc, Location
 from repro.ir.operation import Operation
 from repro.ir.params import (
     ArrayParam,
@@ -75,7 +75,7 @@ from repro.ir.params import (
 from repro.ir.uniquer import intern
 from repro.ir.value import SSAValue
 from repro.irdl import ast
-from repro.obs.instrument import OBS, count_ops
+from repro.obs.instrument import OBS
 
 # ---------------------------------------------------------------------------
 # Section identifiers (new sections get fresh ids; readers skip unknown ones)
@@ -163,14 +163,25 @@ VARIADICITY_CODE = {
 
 
 class Pools:
-    """The shared string table and attribute pool of one artifact."""
+    """The shared string table and attribute pool of one artifact.
+
+    References into either table are handed out as the encoded varint of
+    the entry's index, ready to append to an op stream or a pool entry.
+    Attribute references are looked up by identity first: every pooled
+    attribute is pinned for the lifetime of the pools, so no other live
+    object can share its ``id``, and only a miss pays for ``intern``.
+    """
 
     def __init__(self) -> None:
         self.strings: list[str] = []
         self._string_ids: dict[str, int] = {}
+        #: ``text -> varint of its string index``: op names, attribute
+        #: names and name hints of an op stream.
+        self.string_refs: dict[str, bytes] = {}
         self.attr_entries: list[bytes] = []
-        self._attr_ids: dict[int, int] = {}
-        self._param_ids: dict[ParamValue, int] = {}
+        #: ``id(attribute) -> varint of its pool index``.
+        self.attr_refs: dict[int, bytes] = {}
+        self._param_refs: dict[ParamValue, bytes] = {}
         # The uniquer holds attributes weakly; pin pooled ones so their
         # ``id`` keys stay valid for the lifetime of this encoding.
         self._pinned: list[Attribute] = []
@@ -182,45 +193,53 @@ class Pools:
             self.strings.append(text)
         return index
 
-    def ref(self, value: object) -> int:
-        """Pool index of an attribute or parameter value (children first)."""
+    def string_ref(self, text: str) -> bytes:
+        ref = self.string_refs.get(text)
+        if ref is None:
+            ref = self.string_refs[text] = varint_bytes(self.string(text))
+        return ref
+
+    def ref(self, value: object) -> bytes:
+        """Pool reference of an attribute or parameter value.
+
+        A value not pooled yet is encoded children first, so the pool
+        stays topologically ordered."""
         if isinstance(value, Attribute):
-            value = intern(value)
-            index = self._attr_ids.get(id(value))
-            if index is None:
-                entry = self._encode_entry(value)
-                index = len(self.attr_entries)
-                self.attr_entries.append(entry)
-                self._attr_ids[id(value)] = index
-                self._pinned.append(value)
-            return index
+            ref = self.attr_refs.get(id(value))
+            if ref is None:
+                canonical = intern(value)
+                ref = self.attr_refs.get(id(canonical))
+                if ref is None:
+                    ref = self._add_entry(canonical)
+                    self.attr_refs[id(canonical)] = ref
+                    self._pinned.append(canonical)
+                if canonical is not value:
+                    self.attr_refs[id(value)] = ref
+                    self._pinned.append(value)
+            return ref
         if isinstance(value, ParamValue):
             try:
-                index = self._param_ids.get(value)
+                ref = self._param_refs.get(value)
             except TypeError:  # unhashable payload (opaque params)
-                index = None
-            if index is None:
-                entry = self._encode_entry(value)
-                index = len(self.attr_entries)
-                self.attr_entries.append(entry)
-                try:
-                    self._param_ids[value] = index
-                except TypeError:
-                    pass
-            return index
+                return self._add_entry(value)
+            if ref is None:
+                ref = self._param_refs[value] = self._add_entry(value)
+            return ref
         raise BytecodeError(
             f"cannot encode {type(value).__name__} as an attribute parameter"
         )
 
-    # -- entry encodings -------------------------------------------------
-
-    def _encode_entry(self, value: object) -> bytes:
+    def _add_entry(self, value: object) -> bytes:
+        """Encode ``value``'s entry (its children first) and pool it."""
         w = Writer()
         if isinstance(value, Attribute):
             self._encode_attr(w, value)
         else:
             self._encode_param(w, value)  # type: ignore[arg-type]
-        return w.getvalue()
+        self.attr_entries.append(w.getvalue())
+        return varint_bytes(len(self.attr_entries) - 1)
+
+    # -- entry encodings -------------------------------------------------
 
     def _encode_attr(self, w: Writer, attr: Attribute) -> None:
         if isinstance(attr, DynamicParametrizedAttribute):
@@ -231,7 +250,7 @@ class Pools:
             w.varint(1 if isinstance(attr, DynamicTypeAttribute) else 0)
             w.varint(len(attr.parameters))
             for param in attr.parameters:
-                w.varint(self.ref(param))
+                w.raw(self.ref(param))
         elif isinstance(attr, IntegerType):
             w.varint(TAG_INTEGER_TYPE)
             w.varint(attr.bitwidth)
@@ -247,10 +266,10 @@ class Pools:
             w.varint(TAG_FUNCTION_TYPE)
             w.varint(len(inputs))
             for ref in inputs:
-                w.varint(ref)
+                w.raw(ref)
             w.varint(len(results))
             for ref in results:
-                w.varint(ref)
+                w.raw(ref)
         elif isinstance(attr, (TensorType, VectorType, MemRefType)):
             tag = {
                 TensorType: TAG_TENSOR_TYPE,
@@ -262,7 +281,7 @@ class Pools:
             w.varint(attr.rank)
             for dim in attr.shape:
                 w.signed(dim)
-            w.varint(element)
+            w.raw(element)
         elif isinstance(attr, StringAttr):
             w.varint(TAG_STRING_ATTR)
             w.varint(self.string(attr.data))
@@ -270,24 +289,24 @@ class Pools:
             type_ref = self.ref(attr.type)
             w.varint(TAG_INTEGER_ATTR)
             w.signed(attr.value)
-            w.varint(type_ref)
+            w.raw(type_ref)
         elif isinstance(attr, FloatAttr):
             type_ref = self.ref(attr.type)
             w.varint(TAG_FLOAT_ATTR)
             w.f64_bits(attr.value)
-            w.varint(type_ref)
+            w.raw(type_ref)
         elif isinstance(attr, UnitAttr):
             w.varint(TAG_UNIT_ATTR)
         elif isinstance(attr, TypeAttr):
             wrapped = self.ref(attr.type)
             w.varint(TAG_TYPE_ATTR)
-            w.varint(wrapped)
+            w.raw(wrapped)
         elif isinstance(attr, ArrayAttr):
             refs = [self.ref(e) for e in attr.elements]
             w.varint(TAG_ARRAY_ATTR)
             w.varint(len(refs))
             for ref in refs:
-                w.varint(ref)
+                w.raw(ref)
         elif isinstance(attr, DictionaryAttr):
             entries = [
                 (self.string(key), self.ref(value))
@@ -297,7 +316,7 @@ class Pools:
             w.varint(len(entries))
             for key_ref, value_ref in entries:
                 w.varint(key_ref)
-                w.varint(value_ref)
+                w.raw(value_ref)
         elif isinstance(attr, SymbolRefAttr):
             w.varint(TAG_SYMBOL_REF_ATTR)
             w.varint(self.string(attr.data))
@@ -331,7 +350,7 @@ class Pools:
             w.varint(TAG_ARRAY_PARAM)
             w.varint(len(refs))
             for ref in refs:
-                w.varint(ref)
+                w.raw(ref)
         elif isinstance(param, LocationParam):
             w.varint(TAG_LOCATION_PARAM)
             w.varint(self.string(param.filename))
@@ -360,37 +379,49 @@ class Pools:
 # ---------------------------------------------------------------------------
 
 
-def _strings_payload(pools: Pools) -> bytes:
-    w = Writer()
-    w.varint(len(pools.strings))
+# A section payload travels as a list of byte pieces, so the streaming
+# writer can batch it to the file without ever joining it.
+Pieces = Sequence["bytes | bytearray"]
+
+
+def _string_pieces(pools: Pools) -> list[bytes]:
+    pieces = [varint_bytes(len(pools.strings))]
     for text in pools.strings:
-        w.string_bytes(text)
-    return w.getvalue()
+        data = text.encode("utf-8")
+        pieces += (varint_bytes(len(data)), data)
+    return pieces
 
 
-def _attrs_payload(pools: Pools) -> bytes:
-    w = Writer()
-    w.varint(len(pools.attr_entries))
-    for entry in pools.attr_entries:
-        w.raw(entry)
-    return w.getvalue()
+def _attr_pieces(pools: Pools) -> list[bytes]:
+    return [varint_bytes(len(pools.attr_entries)), *pools.attr_entries]
 
 
-def _assemble(kind: int, sections: Sequence[tuple[int, bytes]]) -> bytes:
-    w = Writer()
-    w.raw(MAGIC)
-    w.varint(FORMAT_VERSION)
-    w.varint(kind)
-    for section_id, payload in sections:
-        w.varint(section_id)
-        w.varint(len(payload))
-        w.raw(payload)
-    return w.getvalue()
+def _frames(sections: Sequence[tuple[int, Pieces]]) -> list:
+    """Section frames (id, payload length, payload) as byte pieces."""
+    out: list = []
+    for section_id, pieces in sections:
+        out += (varint_bytes(section_id),
+                varint_bytes(sum(len(piece) for piece in pieces)), *pieces)
+    return out
+
+
+def _header(kind: int) -> bytes:
+    return MAGIC + varint_bytes(FORMAT_VERSION) + varint_bytes(kind)
+
+
+def _assemble(kind: int, sections: Sequence[tuple[int, Pieces]]) -> bytes:
+    return b"".join([_header(kind), *_frames(sections)])
 
 
 # ---------------------------------------------------------------------------
 # Module encoding
 # ---------------------------------------------------------------------------
+
+#: The streaming writer hands its buffered OPS bytes to the file at the
+#: first op boundary, at any nesting depth, after the buffer reaches this
+#: many bytes; section payloads written after the op stream go out in
+#: batches of the same size.
+STREAM_CHUNK = 1 << 16
 
 
 def _number_values(root: Operation) -> dict[SSAValue, int]:
@@ -413,87 +444,149 @@ def _number_values(root: Operation) -> dict[SSAValue, int]:
     return table
 
 
-def _write_name_hint(w: Writer, pools: Pools, value: SSAValue) -> None:
-    """An optional SSA name hint, so ``%c`` survives the round-trip."""
-    if value.name_hint is None:
-        w.varint(0)
-    else:
-        w.varint(1)
-        w.varint(pools.string(value.name_hint))
+def _write_ops(
+    root: Operation, pools: Pools, index: bool, sink=None
+) -> tuple[bytearray, int, list | None, list, int]:
+    """The one op writer: encode the OPS payload of ``root``.
 
+    Everything is appended to one ``bytearray``: one-byte varints are a
+    single ``append``, pool and string references are the cached varint
+    bytes of :class:`Pools`.  With a ``sink`` (a binary file) the buffer
+    is handed to the file at op boundaries once it holds
+    :data:`STREAM_CHUNK` bytes, so the payload never exists as one
+    blob.  The same pass records the op-index entries of the root's
+    direct children and the locations of every op, in the pre-order
+    (``Operation.walk()``) the decoder numbers ops in.
 
-def _write_op(
-    w,
-    op: Operation,
-    pools: Pools,
-    values: dict[SSAValue, int],
-    block_ids: dict[int, int],
-    record: list[tuple[int, int]] | None = None,
-) -> None:
-    """Emit one op (and its regions) onto ``w``.
-
-    ``w`` is a :class:`Writer` or :class:`~repro.bytecode.wire.FileWriter`
-    positioned at the start of the OPS payload.  With ``record`` set —
-    only ever for the root op — each directly nested op's
-    ``(byte_offset, byte_length)`` span within the payload is appended
-    to it, in emission order, for the op-index section.
+    Returns ``(payload, length, index, located, op_count)``: the payload
+    (empty once streamed) and its length; ``(byte_length, value_count,
+    op_count)`` per top-level op, or ``None`` without ``index``;
+    ``(op pre-order index, location)`` per located op; and the number
+    of ops written.
     """
-    w.varint(pools.string(op.name))
-    w.varint(len(op.operands))
-    for operand in op.operands:
-        index = values.get(operand)
-        if index is None:
-            raise BytecodeError(
-                f"operand of {op.name} is defined outside the module "
-                "being encoded"
-            )
-        w.varint(index)
-        w.varint(pools.ref(operand.type))
-    w.varint(len(op.results))
-    for result in op.results:
-        w.varint(pools.ref(result.type))
-        _write_name_hint(w, pools, result)
-    w.varint(len(op.attributes))
-    for name, attr in op.attributes.items():
-        w.varint(pools.string(name))
-        w.varint(pools.ref(attr))
-    w.varint(len(op.successors))
-    for successor in op.successors:
-        block_index = block_ids.get(id(successor))
-        if block_index is None:
-            raise BytecodeError(
-                f"successor of {op.name} is not a block of the "
-                "enclosing region"
-            )
-        w.varint(block_index)
-    w.varint(len(op.regions))
-    for region in op.regions:
-        w.varint(len(region.blocks))
-        for block in region.blocks:
-            w.varint(len(block.args))
-            for arg in block.args:
-                w.varint(pools.ref(arg.type))
-                _write_name_hint(w, pools, arg)
-        inner_ids = {id(b): i for i, b in enumerate(region.blocks)}
-        for block in region.blocks:
-            w.varint(len(block.ops))
-            for inner in block.ops:
-                if record is None:
-                    _write_op(w, inner, pools, values, inner_ids)
-                else:
-                    start = len(w)
-                    _write_op(w, inner, pools, values, inner_ids)
-                    record.append((start, len(w) - start))
+    values = _number_values(root)
+    buf = bytearray()
+    append = buf.append
+    extend = buf.extend
+    value_index = values.get
+    attr_refs = pools.attr_refs.get
+    pool_ref = pools.ref
+    string_refs = pools.string_refs.get
+    string_ref = pools.string_ref
+    limit = STREAM_CHUNK if sink is not None else sys.maxsize
+    located: list[tuple[int, Location]] = []
+    flushed = op_count = value_count = 0
+
+    def varint(value: int) -> None:
+        while value > 0x7F:
+            append(value & 0x7F | 0x80)
+            value >>= 7
+        append(value)
+
+    def flush() -> None:
+        nonlocal flushed
+        sink.write(bytes(buf))
+        flushed += len(buf)
+        buf.clear()
+
+    def write_value(value: SSAValue) -> None:
+        """A result or block argument: its type and optional name hint."""
+        extend(attr_refs(id(value.type)) or pool_ref(value.type))
+        hint = value.name_hint
+        if hint is None:
+            append(0)
+        else:
+            append(1)
+            extend(string_refs(hint) or string_ref(hint))
+
+    def write(op: Operation, block_ids: dict[int, int], record=None) -> None:
+        nonlocal op_count, value_count
+        location = op.location
+        if location is not UNKNOWN_LOC and not location.is_unknown:
+            located.append((op_count, location))
+        op_count += 1
+        extend(string_refs(op.name) or string_ref(op.name))
+        operands = op.operands
+        n = len(operands)
+        append(n) if n < 0x80 else varint(n)
+        for operand in operands:
+            number = value_index(operand)
+            if number is None:
+                raise BytecodeError(
+                    f"operand of {op.name} is defined outside the module "
+                    "being encoded"
+                )
+            append(number) if number < 0x80 else varint(number)
+            extend(attr_refs(id(operand.type)) or pool_ref(operand.type))
+        results = op.results
+        n = len(results)
+        value_count += n
+        append(n) if n < 0x80 else varint(n)
+        for result in results:
+            write_value(result)
+        attributes = op.attributes
+        n = len(attributes)
+        append(n) if n < 0x80 else varint(n)
+        for name, attr in attributes.items():
+            extend(string_refs(name) or string_ref(name))
+            extend(attr_refs(id(attr)) or pool_ref(attr))
+        successors = op.successors
+        n = len(successors)
+        append(n) if n < 0x80 else varint(n)
+        for successor in successors:
+            block_index = block_ids.get(id(successor))
+            if block_index is None:
+                raise BytecodeError(
+                    f"successor of {op.name} is not a block of the "
+                    "enclosing region"
+                )
+            varint(block_index)
+        regions = op.regions
+        n = len(regions)
+        append(n) if n < 0x80 else varint(n)
+        for region in regions:
+            blocks = region.blocks
+            varint(len(blocks))
+            for block in blocks:
+                value_count += len(block.args)
+                varint(len(block.args))
+                for arg in block.args:
+                    write_value(arg)
+            inner_ids = {id(b): i for i, b in enumerate(blocks)}
+            for block in blocks:
+                varint(len(block.ops))
+                for inner in block.ops:
+                    if record is not None:
+                        start = (flushed + len(buf), value_count, op_count)
+                        write(inner, inner_ids)
+                        record.append((flushed + len(buf) - start[0],
+                                       value_count - start[1],
+                                       op_count - start[2]))
+                    else:
+                        write(inner, inner_ids)
+                    if len(buf) >= limit:
+                        flush()
+
+    varint(len(values))
+    entries: list[tuple[int, int, int]] | None = [] if index else None
+    write(root, {}, entries)
+    length = flushed + len(buf)
+    if sink is not None and buf:
+        flush()
+    return buf, length, entries, located, op_count
 
 
-def _locations_payload(root: Operation, pools: Pools) -> bytes | None:
+def _locations_payload(
+    located: Sequence[tuple[int, Location]], pools: Pools
+) -> bytes | None:
     """The optional location section of a module artifact.
 
     A pool of location entries (fused entries reference earlier pool
     slots, so the pool is acyclic like the attribute pool) followed by a
-    sparse mapping from op pre-order index — the order :func:`_write_op`
-    emits ops, which is ``Operation.walk()`` — to a pool slot.  Returns
+    sparse mapping from op pre-order index to a pool slot.  Returns
     ``None`` when every op's location is unknown."""
+    if not located:
+        return None
     pool_entries: list[bytes] = []
     pool_ids: dict[Location, int] = {}
 
@@ -522,14 +615,7 @@ def _locations_payload(root: Operation, pools: Pools) -> bytes | None:
         pool_ids[loc] = index
         return index
 
-    mapping: list[tuple[int, int]] = []
-    for op_index, op in enumerate(root.walk()):
-        location = op.location
-        if location.is_unknown:
-            continue
-        mapping.append((op_index, pool_ref(location)))
-    if not mapping:
-        return None
+    mapping = [(op_index, pool_ref(loc)) for op_index, loc in located]
     w = Writer()
     w.varint(len(pool_entries))
     for entry in pool_entries:
@@ -541,78 +627,113 @@ def _locations_payload(root: Operation, pools: Pools) -> bytes | None:
     return w.getvalue()
 
 
-def _subtree_counts(op: Operation) -> tuple[int, int]:
-    """``(value_count, op_count)`` of one op's subtree.
-
-    The value count follows :func:`_number_values`' pre-order exactly
-    (results, then per region all block args, then op bodies), so each
-    subtree owns one contiguous range of the module's value numbering.
-    """
-    value_count = len(op.results)
-    op_count = 1
-    for region in op.regions:
-        for block in region.blocks:
-            value_count += len(block.args)
-        for block in region.blocks:
-            for inner in block.ops:
-                inner_values, inner_ops = _subtree_counts(inner)
-                value_count += inner_values
-                op_count += inner_ops
-    return value_count, op_count
-
-
-def _index_payload(
-    root: Operation, spans: list[tuple[int, int]]
-) -> bytes:
+def _index_payload(entries: Sequence[tuple[int, int, int]]) -> bytes:
     """The op-index section: one 3-varint entry per top-level op.
 
-    Each entry is ``(byte_length, value_count, op_count)``.  Byte
+    Each entry is ``(byte_length, value_count, op_count)``, recorded by
+    :func:`_write_ops` as it wrote the root op's direct children.  Byte
     offsets and value starts are deliberately *not* stored: both are
     prefix sums the lazy reader reconstructs while walking the root
     shell (op spans tile each block's run contiguously, value spans
     tile the pre-order numbering), and for a million-op module the
     difference between three mostly-single-byte varints and five is
-    most of the open-time parse cost.  ``spans`` holds the byte spans
-    :func:`_write_op` recorded while emitting the root op's direct
-    children, in the same order the value numbering visits them.
+    most of the open-time parse cost.
     """
-    entries: list[tuple[int, int]] = []
-    for region in root.regions:
-        for block in region.blocks:
-            for inner in block.ops:
-                entries.append(_subtree_counts(inner))
-    if len(entries) != len(spans):
-        raise BytecodeError(
-            f"op-index mismatch: {len(spans)} byte spans recorded for "
-            f"{len(entries)} top-level ops"
-        )
-    w = Writer()
-    w.varint(len(entries))
-    for (_offset, length), (value_count, op_count) in zip(spans, entries):
-        w.varint(length)
-        w.varint(value_count)
-        w.varint(op_count)
-    return w.getvalue()
+    out = bytearray(varint_bytes(len(entries)))
+    append = out.append
+    for entry in entries:
+        for field in entry:
+            if field < 0x80:
+                append(field)
+            else:
+                out += varint_bytes(field)
+    return bytes(out)
 
 
-def _encode_module(root: Operation, index: bool = True) -> bytes:
+def _encode_module(root: Operation, index: bool) -> tuple[bytes, int]:
+    """The artifact and the number of ops in it."""
     pools = Pools()
-    values = _number_values(root)
-    ops = Writer()
-    ops.varint(len(values))
-    spans: list[tuple[int, int]] | None = [] if index else None
-    _write_op(ops, root, pools, values, {}, record=spans)
-    locations = _locations_payload(root, pools)
+    payload, _, entries, located, op_count = _write_ops(root, pools, index)
+    # Locations may intern new strings: build them before the table.
+    locations = _locations_payload(located, pools)
     sections = [
-        (SECTION_STRINGS, _strings_payload(pools)),
-        (SECTION_ATTRS, _attrs_payload(pools)),
-        (SECTION_OPS, ops.getvalue()),
+        (SECTION_STRINGS, _string_pieces(pools)),
+        (SECTION_ATTRS, _attr_pieces(pools)),
+        (SECTION_OPS, [payload]),
     ]
-    if spans is not None:
-        sections.append((SECTION_OP_INDEX, _index_payload(root, spans)))
+    if entries is not None:
+        sections.append((SECTION_OP_INDEX, [_index_payload(entries)]))
     if locations is not None:
-        sections.append((SECTION_LOCATIONS, locations))
-    return _assemble(KIND_MODULE, sections)
+        sections.append((SECTION_LOCATIONS, [locations]))
+    return _assemble(KIND_MODULE, sections), op_count
+
+
+def _encode_module_stream(
+    root: Operation, fileobj, index: bool
+) -> tuple[int, int]:
+    """The number of bytes written and the number of ops in them."""
+    if not fileobj.seekable():
+        raise BytecodeError(
+            "streaming encoding needs a seekable file (the OPS section "
+            "length is patched in after the payload); use encode_module "
+            "for pipes"
+        )
+    base = fileobj.tell()
+    fileobj.write(_header(KIND_MODULE) + varint_bytes(SECTION_OPS))
+    # The OPS section is streamed behind a reserved fixed-width length
+    # slot: the attribute pool and string table fill up as ops are
+    # written, and the payload never exists as one in-memory blob.
+    pools = Pools()
+    length_pos = fileobj.tell()
+    fileobj.write(padded_varint_bytes(0))
+    _, length, entries, located, op_count = _write_ops(
+        root, pools, index, sink=fileobj
+    )
+    end = fileobj.tell()
+    fileobj.seek(length_pos)
+    fileobj.write(padded_varint_bytes(length))
+    fileobj.seek(end)
+
+    locations = _locations_payload(located, pools)
+    sections = []
+    if entries is not None:
+        sections.append((SECTION_OP_INDEX, [_index_payload(entries)]))
+    # Strings and attributes go out entry by entry, in batches of about
+    # STREAM_CHUNK bytes, so neither payload is joined in memory.
+    sections += [
+        (SECTION_STRINGS, _string_pieces(pools)),
+        (SECTION_ATTRS, _attr_pieces(pools)),
+    ]
+    if locations is not None:
+        sections.append((SECTION_LOCATIONS, [locations]))
+    batch = bytearray()
+    for piece in _frames(sections):
+        batch += piece
+        if len(batch) >= STREAM_CHUNK:
+            fileobj.write(bytes(batch))
+            batch.clear()
+    fileobj.write(bytes(batch))
+    return fileobj.tell() - base, op_count
+
+
+def _observed(span: str, encode, streamed: bool):
+    """Run ``encode()`` inside an obs span and record the encode metrics."""
+    start = time.perf_counter()
+    with OBS.tracer.span(span, category="bytecode"):
+        result, op_count = encode()
+    metrics = OBS.metrics
+    if metrics.enabled:
+        metrics.counter("bytecode.encode.modules").inc()
+        if streamed:
+            metrics.counter("bytecode.encode.streamed").inc()
+        metrics.counter("bytecode.encode.ops").inc(op_count)
+        metrics.histogram("bytecode.encode.module_bytes").observe(
+            result if streamed else len(result)
+        )
+        metrics.timer("bytecode.encode.time").record(
+            time.perf_counter() - start
+        )
+    return result
 
 
 def encode_module(root: Operation, *, index: bool = True) -> bytes:
@@ -623,129 +744,31 @@ def encode_module(root: Operation, *, index: bool = True) -> bytes:
     pre-index layout old writers emitted.
     """
     if not OBS.active:
-        return _encode_module(root, index)
-    import time
-
-    start = time.perf_counter()
-    with OBS.tracer.span("bytecode.encode", category="bytecode"):
-        data = _encode_module(root, index)
-    metrics = OBS.metrics
-    if metrics.enabled:
-        metrics.counter("bytecode.encode.modules").inc()
-        metrics.counter("bytecode.encode.ops").inc(count_ops(root))
-        metrics.histogram("bytecode.encode.module_bytes").observe(len(data))
-        metrics.timer("bytecode.encode.time").record(
-            time.perf_counter() - start
-        )
-    return data
-
-
-# ---------------------------------------------------------------------------
-# Streaming module encoding
-# ---------------------------------------------------------------------------
-
-
-def _stream_section(fileobj, section_id: int, payload_len: int) -> None:
-    """Emit one section frame header directly to the file."""
-    fileobj.write(varint_bytes(section_id))
-    fileobj.write(varint_bytes(payload_len))
-
-
-def _encode_module_stream(root: Operation, fileobj, index: bool) -> int:
-    if not fileobj.seekable():
-        raise BytecodeError(
-            "streaming encoding needs a seekable file (the OPS section "
-            "length is patched in after the payload); use encode_module "
-            "for pipes"
-        )
-    base = fileobj.tell()
-    header = Writer()
-    header.raw(MAGIC)
-    header.varint(FORMAT_VERSION)
-    header.varint(KIND_MODULE)
-    fileobj.write(header.getvalue())
-
-    # The OPS section is streamed op by op behind a reserved fixed-width
-    # length slot: the attribute pool and string table fill up as ops are
-    # written, and the payload never exists as one in-memory blob.
-    pools = Pools()
-    values = _number_values(root)
-    fileobj.write(varint_bytes(SECTION_OPS))
-    length_pos = fileobj.tell()
-    fileobj.write(padded_varint_bytes(0))
-    ops = FileWriter(fileobj)
-    ops.varint(len(values))
-    spans: list[tuple[int, int]] | None = [] if index else None
-    _write_op(ops, root, pools, values, {}, record=spans)
-    end = fileobj.tell()
-    fileobj.seek(length_pos)
-    fileobj.write(padded_varint_bytes(len(ops)))
-    fileobj.seek(end)
-
-    # Locations may intern new strings, so build that payload before the
-    # string table is frozen.
-    locations = _locations_payload(root, pools)
-
-    if spans is not None:
-        payload = _index_payload(root, spans)
-        _stream_section(fileobj, SECTION_OP_INDEX, len(payload))
-        fileobj.write(payload)
-
-    # Strings and attributes stream entry by entry behind exact lengths,
-    # so neither section payload is ever concatenated in memory.
-    strings_len = varint_len(len(pools.strings))
-    encoded_lengths = [len(text.encode("utf-8")) for text in pools.strings]
-    for length in encoded_lengths:
-        strings_len += varint_len(length) + length
-    _stream_section(fileobj, SECTION_STRINGS, strings_len)
-    strings_writer = FileWriter(fileobj)
-    strings_writer.varint(len(pools.strings))
-    for text in pools.strings:
-        strings_writer.string_bytes(text)
-    if len(strings_writer) != strings_len:
-        raise BytecodeError("string section length accounting is broken")
-
-    attrs_len = varint_len(len(pools.attr_entries))
-    attrs_len += sum(len(entry) for entry in pools.attr_entries)
-    _stream_section(fileobj, SECTION_ATTRS, attrs_len)
-    fileobj.write(varint_bytes(len(pools.attr_entries)))
-    for entry in pools.attr_entries:
-        fileobj.write(entry)
-
-    if locations is not None:
-        _stream_section(fileobj, SECTION_LOCATIONS, len(locations))
-        fileobj.write(locations)
-    return fileobj.tell() - base
+        return _encode_module(root, index)[0]
+    return _observed(
+        "bytecode.encode", lambda: _encode_module(root, index), False
+    )
 
 
 def encode_module_stream(root: Operation, fileobj, *, index: bool = True) -> int:
     """Serialize a module to a seekable binary file, section by section.
 
     Functionally equivalent to ``fileobj.write(encode_module(root))``
-    but the op stream goes straight to the file — the encoder never
-    holds the OPS payload, the string table blob, or a second copy of
-    the attribute pool in memory, so modules larger than memory encode
-    in bounded space.  Returns the number of bytes written.  The OPS
-    section length travels as a padded (non-canonical) varint that is
-    patched after the payload, which is why the file must be seekable.
+    but the op stream goes to the file in :data:`STREAM_CHUNK` batches
+    as it is encoded — the encoder never holds the OPS payload, the
+    string table blob, or a second copy of the attribute pool in memory,
+    so modules larger than memory encode in bounded space.  Returns the
+    number of bytes written.  The OPS section length travels as a padded
+    (non-canonical) varint that is patched after the payload, which is
+    why the file must be seekable.
     """
     if not OBS.active:
-        return _encode_module_stream(root, fileobj, index)
-    import time
-
-    start = time.perf_counter()
-    with OBS.tracer.span("bytecode.encode_stream", category="bytecode"):
-        written = _encode_module_stream(root, fileobj, index)
-    metrics = OBS.metrics
-    if metrics.enabled:
-        metrics.counter("bytecode.encode.modules").inc()
-        metrics.counter("bytecode.encode.streamed").inc()
-        metrics.counter("bytecode.encode.ops").inc(count_ops(root))
-        metrics.histogram("bytecode.encode.module_bytes").observe(written)
-        metrics.timer("bytecode.encode.time").record(
-            time.perf_counter() - start
-        )
-    return written
+        return _encode_module_stream(root, fileobj, index)[0]
+    return _observed(
+        "bytecode.encode_stream",
+        lambda: _encode_module_stream(root, fileobj, index),
+        True,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -909,7 +932,7 @@ def _encode_dialects(decls: Sequence[ast.DialectDecl]) -> bytes:
     body.varint(len(decls))
     for decl in decls:
         _write_dialect(body, pools, decl)
-    extra: list[tuple[int, bytes]] = []
+    extra: list[tuple[int, Pieces]] = []
     entries = _suppression_entries(decls)
     if entries:
         w = Writer()
@@ -919,12 +942,12 @@ def _encode_dialects(decls: Sequence[ast.DialectDecl]) -> bytes:
             w.varint(kind)
             w.varint(index)
             w.varint(pools.string(code))
-        extra.append((SECTION_SUPPRESSIONS, w.getvalue()))
+        extra.append((SECTION_SUPPRESSIONS, [w.getvalue()]))
     return _assemble(
         KIND_DIALECTS,
         [
-            (SECTION_STRINGS, _strings_payload(pools)),
-            (SECTION_DIALECTS, body.getvalue()),
+            (SECTION_STRINGS, _string_pieces(pools)),
+            (SECTION_DIALECTS, [body.getvalue()]),
             *extra,
         ],
     )

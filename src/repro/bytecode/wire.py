@@ -113,15 +113,6 @@ def varint_bytes(value: int) -> bytes:
     return w.getvalue()
 
 
-def varint_len(value: int) -> int:
-    """The canonical LEB128 length of one unsigned integer."""
-    length = 1
-    while value >= 0x80:
-        value >>= 7
-        length += 1
-    return length
-
-
 #: Width of the reserve-then-patch section lengths the streaming writer
 #: emits.  5 bytes of forced-continuation LEB128 cover 35 bits, far more
 #: than any section we can address.
@@ -147,53 +138,6 @@ def padded_varint_bytes(value: int, width: int = PADDED_VARINT_WIDTH) -> bytes:
             byte |= 0x80
         out.append(byte)
     return bytes(out)
-
-
-class FileWriter:
-    """A :class:`Writer` twin that appends to a binary file object.
-
-    ``len()`` counts the bytes written through it, so offsets recorded
-    while streaming one section payload match offsets recorded against
-    an in-memory :class:`Writer` holding the same payload.
-    """
-
-    __slots__ = ("_file", "_count")
-
-    def __init__(self, fileobj) -> None:
-        self._file = fileobj
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def raw(self, data: bytes) -> None:
-        self._file.write(data)
-        self._count += len(data)
-
-    def varint(self, value: int) -> None:
-        if value < 0:
-            raise ValueError(f"varint cannot encode negative value {value}")
-        out = bytearray()
-        while True:
-            byte = value & 0x7F
-            value >>= 7
-            if value:
-                out.append(byte | 0x80)
-            else:
-                out.append(byte)
-                break
-        self.raw(bytes(out))
-
-    def signed(self, value: int) -> None:
-        self.varint(zigzag(value))
-
-    def string_bytes(self, text: str) -> None:
-        data = text.encode("utf-8")
-        self.varint(len(data))
-        self.raw(data)
-
-    def f64_bits(self, value: float) -> None:
-        self.raw(struct.pack("<d", value))
 
 
 class Reader:

@@ -70,15 +70,21 @@ class OpDefBinding:
     def has_custom_format(self) -> bool:
         return False
 
-    def prepare_custom(self, op: "Operation") -> None:
+    def prepare_custom(self, op: "Operation") -> Any:
         """Pre-flight check before printing the custom format.
 
-        Raises :class:`VerifyError` when the operation cannot be printed
-        in its declarative format (e.g. it is invalid); the printer then
-        falls back to the generic form.
+        Returns what :meth:`print_custom` needs (for IRDL formats, the
+        constraint-variable bindings), recovered once per print.  Raises
+        :class:`VerifyError` when the operation cannot be printed in its
+        declarative format (e.g. it is invalid); the printer then falls
+        back to the generic form.
         """
+        return None
 
-    def print_custom(self, op: "Operation", printer: Any) -> None:
+    def print_custom(self, op: "Operation", printer: Any,
+                     prepared: Any) -> None:
+        """Print the custom format, given what :meth:`prepare_custom`
+        returned for ``op``."""
         raise NotImplementedError
 
     def parse_custom(self, parser: Any) -> "Operation":

@@ -415,12 +415,14 @@ class FormatProgram:
 
     # -- printing --------------------------------------------------------
 
-    def print(self, op: "Operation", printer: "Printer") -> None:
-        """Print the custom syntax following the operation name."""
+    def print(
+        self, op: "Operation", printer: "Printer", bindings: dict[str, Any]
+    ) -> None:
+        """Print the custom syntax following the operation name, given
+        the op's constraint-variable ``bindings`` (:meth:`_bindings_for`)."""
         if self._print_ops is None:
-            self._print_interp(op, printer)
+            self._print_interp(op, printer, bindings)
             return
-        bindings = self._bindings_for(op)
         operands = op.operands
         for instr in self._print_ops:
             code = instr[0]
@@ -435,9 +437,10 @@ class FormatProgram:
             else:
                 printer.print_param(bindings[instr[1]].parameters[instr[2]])
 
-    def _print_interp(self, op: "Operation", printer: "Printer") -> None:
+    def _print_interp(
+        self, op: "Operation", printer: "Printer", bindings: dict[str, Any]
+    ) -> None:
         """Reference directive interpreter (``--no-codegen`` path)."""
-        bindings = self._bindings_for(op)
         operand_index = {a.name: i for i, a in enumerate(self.op_def.operands)}
         for directive in self.directives:
             if isinstance(directive, LiteralDirective):

@@ -848,8 +848,8 @@ class IRParser(TokenStream):
                          attributes, successors, regions, resolved[1])
 
     def _parse_custom_operation(self) -> Operation:
-        parts = [self.expect_text(_BARE, "operation name")]
         at = self._starts[self._i]
+        parts = [self.expect_text(_BARE, "operation name")]
         while self.kind is _DOT:
             self.advance()
             parts.append(self.expect_text(_BARE, "operation name"))
@@ -866,7 +866,11 @@ class IRParser(TokenStream):
                     at,
                 )
             resolved = self._op_defs[op_name] = (op_name, definition)
-        return resolved[1].parse_custom(self)
+        try:
+            return resolved[1].parse_custom(self)
+        except VerifyError as err:
+            # The constraint variables the format read have no solution.
+            raise self.error_at(str(err), at) from err
 
     def _parse_operand_name_list(self) -> list[tuple[str, int]]:
         self.consume(_LPAREN, "'('")

@@ -158,13 +158,13 @@ class Printer:
             try:
                 # Constraint-variable bindings are recovered before any
                 # text is emitted, so invalid IR falls back cleanly.
-                definition.prepare_custom(op)
+                prepared = definition.prepare_custom(op)
             except VerifyError:
                 self._print_generic(op)
                 self._print_location_suffix(op)
                 return
             self.write(op.name)
-            definition.print_custom(op, self)
+            definition.print_custom(op, self, prepared)
             self._print_location_suffix(op)
             return
         self._print_generic(op)

@@ -206,6 +206,64 @@ class TestNativeOpVerifiers:
         with pytest.raises(VerifyError, match="entry argument"):
             func.verify()
 
+    def test_passing_func_verify_formats_no_type(self, cmath_ctx,
+                                                  monkeypatch):
+        # The verifiers of func.func and func.return build their messages
+        # only when a check fails, so a passing verify prints no type.
+        from repro.ir.attributes import DynamicParametrizedAttribute
+        from repro.textir.parser import parse_module
+
+        module = parse_module(cmath_ctx, """
+        "func.func"() ({
+        ^bb0(%p: !cmath.complex<f32>, %n: i32):
+          "func.return"(%n, %p) : (i32, !cmath.complex<f32>) -> ()
+        }) {sym_name = "f", function_type = (!cmath.complex<f32>, i32)
+            -> (i32, !cmath.complex<f32>)} : () -> ()
+        """)
+        calls = []
+
+        def counting(cls):
+            original = cls.__str__
+
+            def __str__(self):
+                calls.append(cls.__name__)
+                return original(self)
+
+            monkeypatch.setattr(cls, "__str__", __str__)
+
+        for cls in (DynamicParametrizedAttribute, IntegerType, FloatType,
+                    FunctionType):
+            counting(cls)
+        module.verify()
+        assert calls == []
+
+    def test_func_failure_messages_unchanged(self, ctx):
+        from repro.ir import Block, Region
+
+        body = Block([f32])
+        body.add_op(ctx.create_operation("func.return",
+                                         operands=[body.args[0]]))
+        func = self.make(
+            ctx, "func.func",
+            attributes={
+                "sym_name": StringAttr("f"),
+                "function_type": TypeAttr(FunctionType([i32], [i32])),
+            },
+            regions=[Region([body])],
+        )
+        with pytest.raises(VerifyError) as info:
+            func.verify(recursive=False)
+        assert str(info.value) == (
+            "func.func: entry argument type f32 differs from signature "
+            "type i32"
+        )
+        with pytest.raises(VerifyError) as info:
+            body.ops[0].verify()
+        assert str(info.value) == (
+            "func.return: return operand type f32 differs from function "
+            "result type i32"
+        )
+
     def test_return_checks_function_results(self, ctx):
         from repro.ir import Block, Region
 

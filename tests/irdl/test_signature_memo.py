@@ -20,6 +20,7 @@ from repro.irdl import codegen, register_irdl
 from repro.irdl.plan import SIGNATURE_MEMO_SIZE, SIGNATURE_USES
 from repro.obs import MetricsRegistry, enable_metrics, reset
 from repro.textir import parse_module, print_op
+from repro.utils import DiagnosticError
 
 
 def cmath_context():
@@ -48,9 +49,12 @@ BAD_PARSE = "  %b = cmath.norm %c : i32\n"
 
 
 def parse_failure(context, text: str) -> str:
-    with pytest.raises(VerifyError) as info:
+    """The message of the located diagnostic a parse failure raises."""
+    with pytest.raises(DiagnosticError) as info:
         parse_module(context, text)
-    return str(info.value)
+    (diagnostic,) = info.value.diagnostics
+    assert diagnostic.span is not None
+    return diagnostic.message
 
 
 def verify_failure(op) -> str:
@@ -163,8 +167,10 @@ def test_counters_split_by_use_and_constraint_checks_stay_exact():
         assert registry.value_of("irdl.signature_memo.hits.verify") == 3
         # Parsed before metrics: both parses of this signature hit.
         assert registry.value_of("irdl.signature_memo.hits.parse") == 2
+        # One probe per printed op: the printer recovers the bindings
+        # once and passes them on.
         assert registry.value_of("irdl.signature_memo.misses.print") == 1
-        assert registry.value_of("irdl.signature_memo.hits.print") == 3
+        assert registry.value_of("irdl.signature_memo.hits.print") == 1
     finally:
         reset()
 

@@ -63,6 +63,24 @@ class TestPipeline:
                                  f"{len(GOOD_IR) + 1} "):
             session.load_module(data, "in.mlir")
 
+    def test_unsolvable_constraint_variable_is_located(self, session):
+        # `i32` is no solution of cmath.norm's `T: AnyOf<!f32, !f64>`:
+        # a located diagnostic at the op, not a bare VerifyError.
+        text = (
+            '"func.func"() ({\n'
+            "^bb0(%c: !cmath.complex<f32>):\n"
+            "  %b = cmath.norm %c : i32\n"
+            '  "func.return"(%b) : (i32) -> ()\n'
+            '}) {sym_name = "f", function_type = '
+            "(!cmath.complex<f32>) -> i32} : () -> ()\n"
+        )
+        with pytest.raises(DiagnosticError) as info:
+            session.load_module(text.encode(), "norm.mlir")
+        message = str(info.value)
+        assert message.startswith("norm.mlir:3:8: error: ")
+        assert "satisfies none of the 2 alternatives" in message
+        assert not isinstance(info.value, VerifyError)
+
     def test_verify_failure_raises(self, session):
         module = session.load_module(BAD_IR)
         with pytest.raises(VerifyError):

@@ -34,6 +34,13 @@ BAD_IR = """
    : () -> ()
 """
 
+UNSOLVABLE_NORM_IR = """"func.func"() ({
+^bb0(%c: !cmath.complex<f32>):
+  %b = cmath.norm %c : i32
+  "func.return"(%b) : (i32) -> ()
+}) {sym_name = "f", function_type = (!cmath.complex<f32>) -> i32} : () -> ()
+"""
+
 
 @pytest.fixture
 def cmath_irdl(tmp_path):
@@ -73,7 +80,8 @@ class TestDriver:
     def test_parse_time_constraint_failure_is_an_error(self, tmp_path,
                                                        cmath_irdl, capsys):
         # Declarative-format parsing instantiates types; a parameter
-        # constraint violation must be a clean `error:`, not a traceback.
+        # constraint violation must be a clean error located at the op,
+        # not a traceback.
         ir = """
         "func.func"() ({
         ^bb0(%p: !cmath.complex<f32>, %q: !cmath.complex<f64>):
@@ -82,11 +90,23 @@ class TestDriver:
             function_type = (!cmath.complex<f32>, !cmath.complex<f64>)
             -> !cmath.complex<f32>} : () -> ()
         """
-        exit_code = main(["--irdl", cmath_irdl, write_ir(tmp_path, ir)])
+        path = write_ir(tmp_path, ir)
+        exit_code = main(["--irdl", cmath_irdl, path])
         assert exit_code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        assert err.startswith(f"{path}:4:16: error: ")
         assert "parameter 'elementType'" in err
+
+    def test_unsolvable_constraint_variable_is_located(self, tmp_path,
+                                                       cmath_irdl, capsys):
+        # `i32` is no solution of cmath.norm's `T: AnyOf<!f32, !f64>`.
+        path = write_ir(tmp_path, UNSOLVABLE_NORM_IR)
+        exit_code = main(["--irdl", cmath_irdl, path])
+        assert exit_code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}:3:8: error: ")
+        assert "satisfies none of the 2 alternatives" in err
+        assert "  %b = cmath.norm %c : i32\n       ^" in err
 
     def test_verify_diagnostics_mode(self, tmp_path, cmath_irdl, capsys):
         exit_code = main([
